@@ -6,10 +6,15 @@ The header lists (name, shape, offset, dtype) per array in storage order,
 offsets relative to the start of the data section, plus a free-form "meta"
 object (run config, optimizer step).  Headers are dumped with sorted keys and
 no whitespace so that load followed by save reproduces the file bit for bit.
+
+Saving writes a temporary file next to the target and renames it over the
+target once complete, so a failed or interrupted save leaves any previous
+checkpoint untouched.
 """
 from __future__ import annotations
 
 import json
+import os
 import struct
 from typing import Dict, List, Sequence, Tuple
 
@@ -46,13 +51,22 @@ def save_checkpoint(path, arrays: Sequence[Tuple[str, np.ndarray]], meta: Dict) 
         offset += len(blob)
     header = {"arrays": entries, "meta": meta}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<I", len(header_bytes)))
-        f.write(header_bytes)
-        for blob in blobs:
-            f.write(blob)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", FORMAT_VERSION))
+            f.write(struct.pack("<I", len(header_bytes)))
+            f.write(header_bytes)
+            for blob in blobs:
+                f.write(blob)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Tuple[Dict[str, np.ndarray], Dict]:

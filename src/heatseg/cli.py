@@ -147,19 +147,25 @@ def cmd_train(args) -> int:
             zero_grad(params)
             loss.backward()
             lr = cosine_lr(step, cfg.total_steps, cfg.learning_rate)
-            adam_step(params, [p.grad for p in params], state, lr)
 
-            record = {"step": step + 1, "lr": lr, **parts}
+            # JSON has no NaN or infinity; a non-finite part is logged as null
+            record = {"step": step + 1, "lr": lr}
+            record.update((k, v if math.isfinite(v) else None) for k, v in parts.items())
             log.write(json.dumps(record) + "\n")
-            if not all(math.isfinite(v) for v in parts.values()):
-                print(f"error: non-finite loss at step {step + 1}", file=sys.stderr)
+            # checked before the update, so the parameters and optimizer state
+            # saved below are those of the last finite step
+            finite_loss = None not in record.values()
+            finite_grad = all(p.grad is None or np.isfinite(p.grad).all() for p in params)
+            if not (finite_loss and finite_grad):
+                what = "gradient" if finite_loss else "loss"
+                print(f"error: non-finite {what} at step {step + 1}", file=sys.stderr)
                 code = 1
                 break
+            adam_step(params, [p.grad for p in params], state, lr)
 
     arrays = [(name, p.data) for name, p in named] + _adam_arrays(named, state)
-    final_step = state.t if code == 0 else state.t
-    save_checkpoint(out_path, arrays, {"config": cfg.to_dict(), "step": final_step})
-    print(f"saved checkpoint at step {final_step} to {out_path}", file=sys.stderr)
+    save_checkpoint(out_path, arrays, {"config": cfg.to_dict(), "step": state.t})
+    print(f"saved checkpoint at step {state.t} to {out_path}", file=sys.stderr)
     return code
 
 

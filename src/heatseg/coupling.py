@@ -1,13 +1,15 @@
 """Bidirectional coupling between per-category embeddings and pixel features.
 
-One layer runs on a single image whose feature map is flattened to (P, c_feat)
-with P = H' * W'.  It first scores every pixel against every category embedding
-and squashes the scores into per-category heatmaps.  Each heatmap picks its
-top-K pixels, whose normalized heat weights pool a projected context vector;
-a scalar gate blends that context into the embedding.  The updated embeddings
-then emit per-category scale/shift pairs which modulate the features, and the
-modulated variants are mixed back under softmax heat weights with a residual
-blend toward the incoming features.
+One layer runs on a whole batch at once: features are (B, P, c_feat) with
+P = H' * W' pixels per image, embeddings are (B, N, c_class), and every piece
+below treats its leading axes as independent batch axes.  A layer first scores
+every pixel against every category embedding and squashes the scores into
+per-category heatmaps.  Each heatmap picks its top-K pixels, whose normalized
+heat weights pool a projected context vector; a scalar gate blends that
+context into the embedding.  The updated embeddings then emit per-category
+scale/shift pairs which modulate the features, and the modulated variants are
+mixed back under softmax heat weights with a residual blend toward the
+incoming features.
 
 The heatmap is computed once per layer from the incoming features and
 embeddings, and both directions reuse it; the feature update reads the
@@ -24,16 +26,16 @@ import numpy as np
 from .tensor import (
     Tensor,
     concat,
-    gather_rows,
+    gather,
     matmul,
     mul,
     reduce,
     reshape,
     sigmoid,
     softmax_axis,
+    swapaxes,
     tanh,
     topk_indices,
-    transpose2d,
 )
 
 
@@ -112,27 +114,33 @@ class CouplingParams:
 def class_heatmaps(feats: Tensor, emb: Tensor, w_query: Tensor, b_query: Tensor):
     """Score pixels against embeddings: returns raw scores and their sigmoid.
 
-    feats is (P, c_feat), emb is (N, c_class); both outputs are (P, N).
+    feats is (..., P, c_feat), emb is (..., N, c_class); both outputs are
+    (..., P, N).
     """
     queries = matmul(emb, w_query) + b_query
-    scores = matmul(feats, transpose2d(queries))
+    scores = matmul(feats, swapaxes(queries, -1, -2))
     return scores, sigmoid(scores)
 
 
-def select_region(heat_channel, cfg: TopKConfig) -> np.ndarray:
-    """Top-K pixel indices of one heatmap channel; membership is not differentiated."""
-    values = heat_channel.data if isinstance(heat_channel, Tensor) else np.asarray(heat_channel)
-    return topk_indices(values, cfg.k_for(values.shape[0]))
+def select_region(heat, cfg: TopKConfig) -> np.ndarray:
+    """Top-K pixel indices of every heatmap channel; membership is not differentiated.
 
-
-def normalize_region(heat_channel: Tensor, region: np.ndarray, eps: float) -> Tensor:
-    """In-region heat weights scaled by the region total (plus eps).
-
-    Off-region weights are identically zero and are never materialized; the
-    returned vector aligns with ``region``.
+    ``heat`` holds one channel per row along its last (pixel) axis, so a
+    (B, N, P) heatmap gives (B, N, K) indices.
     """
-    selected = gather_rows(heat_channel, region)
-    denom = reduce(selected, kind="sum") + eps
+    values = heat.data if isinstance(heat, Tensor) else np.asarray(heat)
+    return topk_indices(values, cfg.k_for(values.shape[-1]))
+
+
+def normalize_region(heat: Tensor, region: np.ndarray, eps: float) -> Tensor:
+    """In-region heat weights scaled by each channel's region total (plus eps).
+
+    ``heat`` is (..., P) and ``region`` (..., K).  Off-region weights are
+    identically zero and are never materialized; the result aligns with
+    ``region``.
+    """
+    selected = gather(heat, region, axis=-1)
+    denom = reduce(selected, axis=-1, kind="sum", keepdims=True) + eps
     return selected / denom
 
 
@@ -143,24 +151,33 @@ def pool_context(
     w_context: Tensor,
     b_context: Tensor,
 ) -> Tensor:
-    """Heat-weighted sum of projected region features, shape (c_class,)."""
-    selected = gather_rows(feats, region)
+    """Heat-weighted sum of projected region features.
+
+    feats is (B, P, c_feat) and region (B, N, K), one row of K pixel indices
+    per category, with weights aligned to it; the result is (B, N, c_class).
+    Without the batch axis, (P, c_feat) features and a (K,) region give one
+    (c_class,) context.
+    """
+    selected = gather(feats, region, axis=-2)
     projected = matmul(selected, w_context) + b_context
-    weighted = mul(projected, reshape(weights, (len(region), 1)))
-    return reduce(weighted, axis=0, kind="sum")
+    weighted = mul(projected, reshape(weights, weights.shape + (1,)))
+    return reduce(weighted, axis=-2, kind="sum")
 
 
 def gated_update(emb_prev: Tensor, contexts: Tensor, w_gate: Tensor, b_gate: Tensor):
     """Convex per-category blend of old embedding and pooled context."""
-    stacked = concat([emb_prev, contexts], axis=1)
+    stacked = concat([emb_prev, contexts], axis=-1)
     gate = sigmoid(matmul(stacked, w_gate) + b_gate)
     updated = (1.0 - gate) * emb_prev + gate * contexts
     return updated, gate
 
 
-# float64 tanh saturates to exactly +-1 past |x| ~ 19, which would let the
-# scale touch 0 or 2; shrinking by one part in 1e9 keeps the interval open
-_SCALE_GUARD = 1e-9
+# tanh saturates to exactly +-1 (float64 past |x| ~ 19), which would let the
+# scale touch 0 or 2.  Shrinking by one part in 1e9 keeps the interval open in
+# float64; float32 cannot represent 1 - 1e-9, so there the shrink is one ulp
+# of 1.0 instead.
+def _scale_guard(dtype) -> float:
+    return max(1e-9, float(np.finfo(dtype).eps))
 
 
 def affine_params(
@@ -171,7 +188,7 @@ def affine_params(
     b_shift: Tensor,
 ):
     """Per-category modulation: scale strictly in (0, 2), unconstrained shift."""
-    gamma = 1.0 + (1.0 - _SCALE_GUARD) * tanh(matmul(emb, w_scale) + b_scale)
+    gamma = 1.0 + (1.0 - _scale_guard(emb.dtype)) * tanh(matmul(emb, w_scale) + b_scale)
     beta = matmul(emb, w_shift) + b_shift
     return gamma, beta
 
@@ -186,30 +203,27 @@ def modulate_and_fuse(
     """Mix per-category modulated features under softmax heat weights.
 
     The category sum of soft[p, n] * (gamma_n * feats[p] + beta_n) factors into
-    feats * (soft @ gamma) + soft @ beta, which avoids a (P, N, c_feat)
+    feats * (soft @ gamma) + soft @ beta, which avoids a (..., P, N, c_feat)
     intermediate.  The effective residual share is sigmoid(blend).
     """
-    soft = softmax_axis(scores, axis=1)
+    soft = softmax_axis(scores, axis=-1)
     mixed = mul(feats, matmul(soft, gamma)) + matmul(soft, beta)
     alpha = sigmoid(blend)
     return mul(alpha, feats) + mul(1.0 - alpha, mixed)
 
 
 def coupling_forward(feats: Tensor, emb: Tensor, params: CouplingParams, cfg: TopKConfig):
-    """One full layer pass; returns (feats_out, emb_out, scores, heat)."""
-    num_categories = emb.shape[0]
-    scores, heat = class_heatmaps(feats, emb, params.w_query, params.b_query)
-    heat_t = transpose2d(heat)
+    """One full layer pass; returns (feats_out, emb_out, scores, heat).
 
-    contexts = []
-    pixels = feats.shape[0]
-    for n in range(num_categories):
-        channel = reshape(gather_rows(heat_t, np.array([n])), (pixels,))
-        region = select_region(channel, cfg)
-        weights = normalize_region(channel, region, cfg.eps)
-        ctx = pool_context(feats, weights, region, params.w_context, params.b_context)
-        contexts.append(reshape(ctx, (1, ctx.shape[0])))
-    contexts = concat(contexts, axis=0)
+    feats is (B, P, c_feat) and emb (B, N, c_class); scores and heat come back
+    as (B, P, N).
+    """
+    scores, heat = class_heatmaps(feats, emb, params.w_query, params.b_query)
+    # one row per category channel, pixels last
+    heat_rows = swapaxes(heat, -1, -2)
+    region = select_region(heat_rows, cfg)
+    weights = normalize_region(heat_rows, region, cfg.eps)
+    contexts = pool_context(feats, weights, region, params.w_context, params.b_context)
 
     emb_out, _ = gated_update(emb, contexts, params.w_gate, params.b_gate)
     gamma, beta = affine_params(

@@ -115,6 +115,13 @@ def op_checks(seed: int = 0, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL)
     m1, m2 = _leaf(rng, (3, 4)), _leaf(rng, (4, 2))
     rm = rng.standard_normal((3, 2))
     run("op.matmul", lambda: _project(T.matmul(m1, m2), rm), [("a", m1), ("b", m2)])
+    # a 2-d weight under a stacked operand, and stacked operands whose batch
+    # axes broadcast against each other
+    s3, w2 = _leaf(rng, (2, 3, 4)), _leaf(rng, (4, 2))
+    rs3 = rng.standard_normal((2, 3, 2))
+    run("op.matmul_stacked_2d", lambda: _project(T.matmul(s3, w2), rs3), [("a", s3), ("b", w2)])
+    b1, b2 = _leaf(rng, (1, 3, 4)), _leaf(rng, (2, 4, 2))
+    run("op.matmul_broadcast", lambda: _project(T.matmul(b1, b2), rs3), [("a", b1), ("b", b2)])
 
     x = _leaf(rng, (3, 4))
     rx = rng.standard_normal((3, 4))
@@ -153,10 +160,11 @@ def op_checks(seed: int = 0, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL)
         [("a", c1), ("b", c2), ("c", c3)],
     )
 
-    gx = _leaf(rng, (5, 3))
-    idx = np.array([0, 2, 2, 4, 1])
-    rg = rng.standard_normal((5, 3))
-    run("op.gather_rows", lambda: _project(T.gather_rows(gx, idx), rg), [("x", gx)])
+    # two index rows per batch entry, with a repeated index in each
+    gx = _leaf(rng, (2, 5, 3))
+    idx = np.array([[[0, 2], [2, 4]], [[1, 1], [3, 0]]])
+    rg = rng.standard_normal((2, 2, 2, 3))
+    run("op.gather", lambda: _project(T.gather(gx, idx, axis=1), rg), [("x", gx)])
 
     up = _leaf(rng, (1, 2, 3, 3))
     ru = rng.standard_normal((1, 2, 9, 9))
@@ -176,9 +184,10 @@ def op_checks(seed: int = 0, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL)
         [("x", cx), ("w", cw)],
     )
 
+    t3 = _leaf(rng, (2, 3, 4))
+    rt = rng.standard_normal((4, 3, 2))
+    run("op.swapaxes", lambda: _project(T.swapaxes(t3, 0, 2), rt), [("x", t3)])
     t2 = _leaf(rng, (3, 4))
-    rt = rng.standard_normal((4, 3))
-    run("op.transpose2d", lambda: _project(T.transpose2d(t2), rt), [("x", t2)])
     rshp = rng.standard_normal((4, 3))
     run("op.reshape", lambda: _project(T.reshape(t2, (4, 3)), rshp), [("x", t2)])
 
@@ -187,10 +196,10 @@ def op_checks(seed: int = 0, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL)
 
 def layer_checks(seed: int = 0, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL) -> List[CheckResult]:
     rng = np.random.default_rng(seed + 1)
-    c_feat, c_class, n, pixels = 6, 4, 3, 16
+    batch, c_feat, c_class, n, pixels = 2, 6, 4, 3, 16
     params = CouplingParams.initialize(c_feat, c_class, rng)
-    feats = _leaf(rng, (pixels, c_feat))
-    emb = _leaf(rng, (n, c_class))
+    feats = _leaf(rng, (batch, pixels, c_feat))
+    emb = _leaf(rng, (batch, n, c_class))
     cfg = TopKConfig(ratio=0.2, eps=1e-6)
 
     def build():

@@ -6,10 +6,11 @@ Every stage output is projected to c_feat by a 1x1 convolution and folded to
 the aggregation scale H/factor x W/factor (finer maps by a strided projection,
 coarser ones by nearest upsampling), then summed into the base feature map.
 
-Decoding starts from a learnable, input-independent embedding table shared by
-all images and runs the coupling layer L times per sample.  The head scores
-pixels against projected final embeddings, upsamples the scores to the input
-resolution, and softmaxes over categories.
+Decoding flattens the base map to (B, P, c_feat) pixel features, broadcasts a
+learnable, input-independent embedding table shared by all images to
+(B, N, c_class), and runs the coupling layer L times on the whole batch.  The
+head scores pixels against projected final embeddings, upsamples the scores to
+the input resolution, and softmaxes over categories.
 """
 from __future__ import annotations
 
@@ -22,15 +23,13 @@ import numpy as np
 from .coupling import CouplingParams, TopKConfig, coupling_forward
 from .tensor import (
     Tensor,
-    concat,
     conv2d,
-    gather_rows,
     matmul,
     no_grad,
     relu,
     reshape,
     softmax_axis,
-    transpose2d,
+    swapaxes,
     upsample_nearest,
 )
 
@@ -94,6 +93,12 @@ class ModelOutput:
     heat_per_layer: List[Tensor]         # each (B, N, H', W'), sigmoid heat
     embeddings_per_layer: List[Tensor]   # each (B, N, c_class), post-update
     features: Tensor                     # (B, c_feat, H', W'), encoder output
+
+
+def _category_maps(per_pixel: Tensor, hh: int, ww: int) -> Tensor:
+    """(B, P, N) per-pixel values as (B, N, H', W') category maps."""
+    batch, _pixels, n = per_pixel.shape
+    return reshape(swapaxes(per_pixel, 1, 2), (batch, n, hh, ww))
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape, dtype) -> np.ndarray:
@@ -204,48 +209,33 @@ class SegModel:
         return agg
 
     def decode(self, base: Tensor):
-        """Run the coupling layers per sample on flattened (P, c_feat) features."""
-        batch = base.shape[0]
-        c_feat, hh, ww = base.shape[1], base.shape[2], base.shape[3]
-        pixels = hh * ww
+        """Run the coupling layers on the batch as stacked (B, P, c_feat) features.
+
+        Returns the final features and embeddings, then per layer the scores
+        and heat as (B, N, H', W') maps and the updated (B, N, c_class)
+        embeddings.
+        """
+        batch, c_feat, hh, ww = base.shape
         topk = self.config.topk()
-        n = self.config.num_categories
+        feats = swapaxes(reshape(base, (batch, c_feat, hh * ww)), 1, 2)
+        # adding zeros broadcasts the shared table; the adjoint sums the batch back
+        emb = self.embeddings + np.zeros((batch, 1, 1))
 
-        per_sample_feats = []
-        for bi in range(batch):
-            fb = reshape(gather_rows(base, np.array([bi])), (c_feat, pixels))
-            per_sample_feats.append(transpose2d(fb))
-
-        per_sample_emb = [self.embeddings for _ in range(batch)]
         scores_layers: List[Tensor] = []
         heat_layers: List[Tensor] = []
         emb_layers: List[Tensor] = []
-
         for layer in self.layers:
-            score_rows, heat_rows, emb_rows = [], [], []
-            for bi in range(batch):
-                feats_out, emb_out, scores, heat = coupling_forward(
-                    per_sample_feats[bi], per_sample_emb[bi], layer, topk
-                )
-                per_sample_feats[bi] = feats_out
-                per_sample_emb[bi] = emb_out
-                score_rows.append(reshape(transpose2d(scores), (1, n, hh, ww)))
-                heat_rows.append(reshape(transpose2d(heat), (1, n, hh, ww)))
-                emb_rows.append(reshape(emb_out, (1, n, emb_out.shape[1])))
-            scores_layers.append(concat(score_rows, axis=0))
-            heat_layers.append(concat(heat_rows, axis=0))
-            emb_layers.append(concat(emb_rows, axis=0))
+            feats, emb, scores, heat = coupling_forward(feats, emb, layer, topk)
+            scores_layers.append(_category_maps(scores, hh, ww))
+            heat_layers.append(_category_maps(heat, hh, ww))
+            emb_layers.append(emb)
+        return feats, emb, scores_layers, heat_layers, emb_layers
 
-        return per_sample_feats, per_sample_emb, scores_layers, heat_layers, emb_layers
-
-    def output_head(self, per_sample_feats, per_sample_emb, hh: int, ww: int):
-        n = self.config.num_categories
-        rows = []
-        for feats, emb in zip(per_sample_feats, per_sample_emb):
-            queries = matmul(emb, self.head_w) + self.head_b
-            z = matmul(feats, transpose2d(queries))
-            rows.append(reshape(transpose2d(z), (1, n, hh, ww)))
-        logits_low = concat(rows, axis=0)
+    def output_head(self, feats: Tensor, emb: Tensor, hh: int, ww: int):
+        """Logits and probabilities (B, N, H, W) from (B, P, c_feat) features."""
+        queries = matmul(emb, self.head_w) + self.head_b
+        z = matmul(queries, swapaxes(feats, 1, 2))
+        logits_low = reshape(z, (z.shape[0], z.shape[1], hh, ww))
         logits = upsample_nearest(logits_low, self.config.downsample_factor)
         return logits, softmax_axis(logits, axis=1)
 

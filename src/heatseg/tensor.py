@@ -85,7 +85,7 @@ class Tensor:
 
     @property
     def T(self) -> "Tensor":
-        return transpose2d(self)
+        return swapaxes(self, -2, -1)
 
     def __add__(self, other):
         return add(self, _lift(other, self))
@@ -297,13 +297,11 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _node(out, (x,), _bw)
 
 
-def transpose2d(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ValueError(f"transpose2d expects a 2-d tensor, got shape {x.data.shape}")
-    out = x.data.T
+def swapaxes(x: Tensor, axis1: int, axis2: int) -> Tensor:
+    out = np.swapaxes(x.data, axis1, axis2)
 
     def _bw(g):
-        return (g.T,)
+        return (np.swapaxes(g, axis1, axis2),)
 
     return _node(out, (x,), _bw)
 
@@ -320,23 +318,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _node(out, tuple(tensors), _bw)
-
-
-def gather_rows(x: Tensor, indices) -> Tensor:
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError("gather_rows expects a flat index list")
-    n = x.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(f"gather_rows index out of range for leading extent {n}")
-    out = x.data[idx]
-
-    def _bw(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        return (gx,)
-
-    return _node(out, (x,), _bw)
 
 
 def _normalize_axes(axis, ndim: int):
@@ -375,6 +356,40 @@ def reduce(x: Tensor, axis=None, kind: str = "sum", keepdims: bool = False) -> T
     return _node(out, (x,), _bw)
 
 
+def gather(x: Tensor, indices, axis: int) -> Tensor:
+    """Pick entries along ``axis``, batched over the axes before it.
+
+    ``indices`` starts with the extents of x.shape[:axis] and may add any
+    number of index axes after them.  With l running over the leading axes, s
+    over the index axes and t over the axes after ``axis``,
+    out[l, s, t] = x[l, indices[l, s], t].  The adjoint scatter-adds, so
+    repeated indices accumulate.
+    """
+    xd = x.data
+    (ax,) = _normalize_axes(axis, xd.ndim)
+    idx = np.asarray(indices)
+    lead, extent = xd.shape[:ax], xd.shape[ax]
+    if not np.issubdtype(idx.dtype, np.integer) or idx.shape[:ax] != lead:
+        raise ValueError(
+            f"gather needs integer indices with leading extents {lead}, got "
+            f"{idx.dtype} indices of shape {idx.shape}"
+        )
+    if idx.size and (idx.min() < 0 or idx.max() >= extent):
+        raise ValueError(f"gather index out of range for axis extent {extent}")
+    rows = int(np.prod(lead, dtype=np.int64))
+    # one flat row index per picked entry into the (rows * extent, trailing) view
+    flat = (np.arange(rows).reshape(rows, 1) * extent + idx.reshape(rows, -1)).reshape(-1)
+    src = xd.reshape(rows * extent, -1)
+    out = src[flat].reshape(idx.shape + xd.shape[ax + 1 :])
+
+    def _bw(g):
+        gx = np.zeros_like(src)
+        np.add.at(gx, flat, g.reshape(flat.size, -1))
+        return (gx.reshape(xd.shape),)
+
+    return _node(out, (x,), _bw)
+
+
 def softmax_axis(x: Tensor, axis: int) -> Tensor:
     (ax,) = _normalize_axes(axis, x.data.ndim)
     shifted = x.data - x.data.max(axis=ax, keepdims=True)
@@ -393,15 +408,37 @@ def softmax_axis(x: Tensor, axis: int) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-d tensors")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul inner extents differ: {a.data.shape} vs {b.data.shape}")
-    out = a.data @ b.data
+    """Matrix product over the last two axes; leading axes broadcast as in numpy."""
+    ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise ValueError(f"matmul expects operands of at least 2-d, got {ad.shape} and {bd.shape}")
+    if ad.shape[-1] != bd.shape[-2]:
+        raise ValueError(f"matmul inner extents differ: {ad.shape} vs {bd.shape}")
+    try:
+        np.broadcast_shapes(ad.shape[:-2], bd.shape[:-2])
+    except ValueError:
+        raise ValueError(f"matmul batch axes of {ad.shape} and {bd.shape} differ") from None
+    inner, cols = bd.shape[-2:]
+    # a 2-d right operand folds the stacked left one into a single GEMM each way
+    folded = bd.ndim == 2 and ad.ndim > 2
+    if folded:
+        out = (ad.reshape(-1, inner) @ bd).reshape(ad.shape[:-1] + (cols,))
+    else:
+        out = ad @ bd
 
     def _bw(g):
-        ga = g @ b.data.T if a.requires_grad else None
-        gb = a.data.T @ g if b.requires_grad else None
+        ga = gb = None
+        if folded:
+            g2 = g.reshape(-1, cols)
+            if a.requires_grad:
+                ga = (g2 @ bd.T).reshape(ad.shape)
+            if b.requires_grad:
+                gb = ad.reshape(-1, inner).T @ g2
+        else:
+            if a.requires_grad:
+                ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
+            if b.requires_grad:
+                gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
         return (ga, gb)
 
     return _node(out, (a, b), _bw)
@@ -474,14 +511,17 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
 
 
 def topk_indices(values, k: int) -> np.ndarray:
-    """Indices of the k largest entries, ties broken toward the lower index."""
+    """Indices of the k largest entries along the last axis, ties toward the lower index.
+
+    Leading axes are independent rows, so one call selects for every row.
+    """
     v = values.data if isinstance(values, Tensor) else np.asarray(values)
-    if v.ndim != 1:
-        raise ValueError(f"topk_indices expects a flat tensor, got shape {v.shape}")
-    if not 1 <= k <= v.size:
-        raise ValueError(f"k={k} out of range for length {v.size}")
-    order = np.argsort(-v, kind="stable")
-    return order[:k].astype(np.int64)
+    if v.ndim < 1:
+        raise ValueError("topk_indices expects at least a 1-d tensor")
+    if not 1 <= k <= v.shape[-1]:
+        raise ValueError(f"k={k} out of range for length {v.shape[-1]}")
+    order = np.argsort(-v, axis=-1, kind="stable")
+    return order[..., :k].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -87,3 +87,41 @@ def test_unreadable_header_rejected(tmp_path):
     path.write_bytes(b"BCRS" + struct.pack("<I", 1) + struct.pack("<I", len(body)) + body)
     with pytest.raises(CheckpointError, match="unreadable header"):
         load_checkpoint(path)
+
+
+def test_failed_save_leaves_previous_checkpoint_intact(tmp_path, monkeypatch):
+    import heatseg.checkpoint as ckpt_module
+
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, arrays_fixture(), {"step": 1})
+    before = path.read_bytes()
+
+    class FailsAfterTwoWrites:
+        """A file whose third write fails, as on a full disk."""
+
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+            return False
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 2:
+                raise OSError("no space left on device")
+            return self.f.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.f, name)
+
+    monkeypatch.setattr(
+        ckpt_module, "open", lambda *a, **k: FailsAfterTwoWrites(open(*a, **k)), raising=False
+    )
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, [("weights", np.ones((3, 4)))], {"step": 2})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

@@ -8,9 +8,11 @@ import json
 import numpy as np
 import pytest
 
+from heatseg import cli
 from heatseg.checkpoint import load_checkpoint
 from heatseg.cli import main
 from heatseg.data import load_dataset, load_pgm
+from heatseg.losses import total_loss
 
 
 def read_log(path):
@@ -75,6 +77,38 @@ class TestTrain:
             "train", "--config", str(cfg), "--out", str(split), "--resume", str(split),
         ]) == 0
         assert straight.read_bytes() == split.read_bytes()
+
+    @pytest.mark.parametrize("poison", ["loss", "gradient"])
+    def test_divergence_keeps_last_good_state(self, tmp_path, tiny_config, capsys,
+                                              monkeypatch, poison):
+        # step 2 back-propagates NaN; with poison="loss" its logged parts are
+        # NaN too, with poison="gradient" they stay finite
+        calls = []
+
+        def diverging_total_loss(*args, **kwargs):
+            loss, parts = total_loss(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 2:
+                loss = loss * float("nan")
+                if poison == "loss":
+                    parts = {k: float("nan") for k in parts}
+            return loss, parts
+
+        monkeypatch.setattr(cli, "total_loss", diverging_total_loss)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(tiny_config()), "--out", str(ckpt)]) == 1
+        assert f"non-finite {poison} at step 2" in capsys.readouterr().err
+        arrays, meta = load_checkpoint(ckpt)
+        assert meta["step"] == 1
+        assert all(np.all(np.isfinite(a)) for a in arrays.values())
+
+        def reject(token):
+            raise AssertionError(f"log holds the non-JSON token {token}")
+
+        lines = (tmp_path / "m.ckpt.log").read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line, parse_constant=reject) for line in lines]
+        assert [r["step"] for r in records] == [1, 2]
+        assert (records[1]["l_total"] is None) == (poison == "loss")
 
     def test_resume_with_changed_config_exits_two(self, tmp_path, tiny_config, capsys):
         ckpt = tmp_path / "m.ckpt"

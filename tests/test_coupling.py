@@ -57,6 +57,10 @@ class TestTopKConfig:
         channel = Tensor(np.array([0.9, 0.1, 0.9, 0.5]))
         region = select_region(channel, TopKConfig(ratio=0.5))
         np.testing.assert_array_equal(region, [0, 2])
+        # stacked channels along the last axis each select on their own
+        rows = Tensor(np.array([[[0.9, 0.1, 0.9, 0.5], [0.2, 0.7, 0.7, 0.7]]]))
+        region = select_region(rows, TopKConfig(ratio=0.5))
+        np.testing.assert_array_equal(region, [[[0, 2], [1, 2]]])
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +136,19 @@ class TestPieces:
         assert np.all(updated.data >= lo - 1e-12) and np.all(updated.data <= hi + 1e-12)
 
     def test_scale_stays_strictly_inside_zero_two(self):
-        emb = Tensor(np.array([[-100.0, 100.0], [0.0, 3.0]]))
-        gamma, beta = affine_params(
-            emb, Tensor(rand((2, 3), 17, lo=-5, hi=5)), Tensor(rand((3,), 18)),
-            Tensor(rand((2, 3), 19)), Tensor(rand((3,), 20)),
-        )
-        assert gamma.shape == (2, 3) and beta.shape == (2, 3)
-        assert np.all((gamma.data > 0.0) & (gamma.data < 2.0))
+        # the inputs saturate tanh in both precisions
+        for dtype in (np.float64, np.float32):
+            def t(a):
+                return Tensor(np.asarray(a, dtype=dtype))
+
+            emb = t([[-100.0, 100.0], [0.0, 3.0]])
+            gamma, beta = affine_params(
+                emb, t(rand((2, 3), 17, lo=-5, hi=5)), t(rand((3,), 18)),
+                t(rand((2, 3), 19)), t(rand((3,), 20)),
+            )
+            assert gamma.dtype == dtype
+            assert gamma.shape == (2, 3) and beta.shape == (2, 3)
+            assert np.all((gamma.data > 0.0) & (gamma.data < 2.0)), dtype
 
     def test_fuse_keeps_features_when_blend_saturates(self):
         feats = Tensor(rand((10, 4), 21))
@@ -201,28 +211,45 @@ class TestFullLayer:
         feats = rand((30, 5), 30)
         emb = rand((3, 4), 31)
         cfg = TopKConfig(ratio=0.1, eps=1e-6)
-        feats_out, emb_out, scores, heat = coupling_forward(Tensor(feats), Tensor(emb), p, cfg)
+        feats_out, emb_out, scores, heat = coupling_forward(
+            Tensor(feats[None]), Tensor(emb[None]), p, cfg
+        )
         ref_f, ref_e, ref_s, ref_h = layer_oracle(feats, emb, p, cfg.ratio, cfg.eps)
-        np.testing.assert_allclose(scores.data, ref_s, atol=1e-10)
-        np.testing.assert_allclose(heat.data, ref_h, atol=1e-10)
-        np.testing.assert_allclose(emb_out.data, ref_e, atol=1e-10)
-        np.testing.assert_allclose(feats_out.data, ref_f, atol=1e-10)
+        np.testing.assert_allclose(scores.data[0], ref_s, atol=1e-10)
+        np.testing.assert_allclose(heat.data[0], ref_h, atol=1e-10)
+        np.testing.assert_allclose(emb_out.data[0], ref_e, atol=1e-10)
+        np.testing.assert_allclose(feats_out.data[0], ref_f, atol=1e-10)
+
+    def test_batch_matches_per_image_oracle(self):
+        # distinct images and embeddings per sample, so any mixing across the
+        # batch axis shows up against the one-image oracle
+        p = make_params(5, 4, seed=8)
+        feats = rand((3, 30, 5), 37)
+        emb = rand((3, 3, 4), 38)
+        cfg = TopKConfig(ratio=0.1, eps=1e-6)
+        outs = coupling_forward(Tensor(feats), Tensor(emb), p, cfg)
+        for b in range(3):
+            refs = layer_oracle(feats[b], emb[b], p, cfg.ratio, cfg.eps)
+            for name, got, ref in zip(("feats", "emb", "scores", "heat"), outs, refs):
+                np.testing.assert_allclose(got.data[b], ref, rtol=0, atol=1e-12, err_msg=name)
 
     def test_pixel_permutation_equivariance(self):
         p = make_params(6, 4, seed=4)
         feats = rand((40, 6), 32)
         emb = rand((3, 4), 33)
         cfg = TopKConfig(ratio=0.2)
-        out_a, emb_a, _, _ = coupling_forward(Tensor(feats), Tensor(emb), p, cfg)
+        out_a, emb_a, _, _ = coupling_forward(Tensor(feats[None]), Tensor(emb[None]), p, cfg)
         perm = np.random.default_rng(34).permutation(40)
-        out_b, emb_b, _, _ = coupling_forward(Tensor(feats[perm]), Tensor(emb), p, cfg)
-        np.testing.assert_allclose(out_b.data, out_a.data[perm], atol=1e-10)
+        out_b, emb_b, _, _ = coupling_forward(
+            Tensor(feats[perm][None]), Tensor(emb[None]), p, cfg
+        )
+        np.testing.assert_allclose(out_b.data[0], out_a.data[0][perm], atol=1e-10)
         np.testing.assert_allclose(emb_b.data, emb_a.data, atol=1e-10)
 
     def test_gradients_reach_every_parameter(self):
         p = make_params(5, 4, seed=5)
-        feats = Tensor(rand((25, 5), 35), requires_grad=True)
-        emb = Tensor(rand((3, 4), 36), requires_grad=True)
+        feats = Tensor(rand((1, 25, 5), 35), requires_grad=True)
+        emb = Tensor(rand((1, 3, 4), 36), requires_grad=True)
         feats_out, emb_out, _, _ = coupling_forward(feats, emb, p, TopKConfig(ratio=0.2))
         loss = T.reduce(T.mul(feats_out, feats_out), kind="sum") + T.reduce(emb_out, kind="sum")
         loss.backward()

@@ -72,18 +72,26 @@ class TestForward:
     def test_matmul_matches_numpy(self):
         a, b = rand((3, 5), 5), rand((5, 2), 6)
         np.testing.assert_allclose(T.matmul(T.Tensor(a), T.Tensor(b)).data, a @ b, rtol=1e-14)
+        # stacked operands, with a 2-d weight and with broadcast batch axes
+        s, w = rand((4, 3, 5), 7), rand((1, 5, 2), 8)
+        np.testing.assert_allclose(T.matmul(T.Tensor(s), T.Tensor(b)).data, s @ b, rtol=1e-14)
+        np.testing.assert_allclose(T.matmul(T.Tensor(s), T.Tensor(w)).data, s @ w, rtol=1e-14)
+        np.testing.assert_allclose(T.matmul(T.Tensor(a), T.Tensor(w)).data, a @ w, rtol=1e-14)
 
     def test_matmul_shape_errors(self):
         with pytest.raises(ValueError, match="2-d"):
-            T.matmul(T.Tensor(np.zeros((2, 2, 2))), T.Tensor(np.zeros((2, 2))))
+            T.matmul(T.Tensor(np.zeros(2)), T.Tensor(np.zeros((2, 2))))
         with pytest.raises(ValueError, match="inner extents"):
             T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 2))))
+        with pytest.raises(ValueError, match="batch axes"):
+            T.matmul(T.Tensor(np.zeros((2, 2, 3))), T.Tensor(np.zeros((3, 3, 2))))
 
     def test_transpose_reshape_concat(self):
         a = rand((2, 3), 7)
-        np.testing.assert_array_equal(T.transpose2d(T.Tensor(a)).data, a.T)
-        with pytest.raises(ValueError, match="2-d"):
-            T.transpose2d(T.Tensor(np.zeros(3)))
+        np.testing.assert_array_equal(T.swapaxes(T.Tensor(a), 0, 1).data, a.T)
+        np.testing.assert_array_equal(T.Tensor(a).T.data, a.T)
+        c = rand((2, 3, 4), 12)
+        np.testing.assert_array_equal(T.swapaxes(T.Tensor(c), -1, 0).data, c.swapaxes(-1, 0))
         np.testing.assert_array_equal(T.reshape(T.Tensor(a), (3, 2)).data, a.reshape(3, 2))
         parts = [rand((2, 2), s) for s in (1, 2, 3)]
         out = T.concat([T.Tensor(p) for p in parts], axis=1)
@@ -91,14 +99,30 @@ class TestForward:
         with pytest.raises(ValueError, match="at least one"):
             T.concat([], axis=0)
 
-    def test_gather_rows(self):
+    def test_gather(self):
         a = rand((5, 3), 8)
         idx = np.array([0, 2, 2, 4])
-        np.testing.assert_array_equal(T.gather_rows(T.Tensor(a), idx).data, a[idx])
+        np.testing.assert_array_equal(T.gather(T.Tensor(a), idx, axis=0).data, a[idx])
+        # batched over the leading axis, with extra index axes and trailing features
+        b = rand((2, 5, 3), 9)
+        bidx = np.array([[[0, 4], [2, 2]], [[1, 3], [3, 0]]])
+        out = T.gather(T.Tensor(b), bidx, axis=1).data
+        assert out.shape == (2, 2, 2, 3)
+        for i in range(2):
+            np.testing.assert_array_equal(out[i], b[i][bidx[i]])
+        # along the last axis the result matches take_along_axis
+        rows = rand((2, 3, 5), 10)
+        ridx = np.array([[[4, 0], [1, 2], [3, 3]], [[0, 1], [2, 4], [4, 0]]])
+        np.testing.assert_array_equal(
+            T.gather(T.Tensor(rows), ridx, axis=-1).data,
+            np.take_along_axis(rows, ridx, axis=-1),
+        )
         with pytest.raises(ValueError, match="out of range"):
-            T.gather_rows(T.Tensor(a), np.array([5]))
-        with pytest.raises(ValueError, match="flat index"):
-            T.gather_rows(T.Tensor(a), np.zeros((2, 2), dtype=np.int64))
+            T.gather(T.Tensor(a), np.array([5]), axis=0)
+        with pytest.raises(ValueError, match="leading extents"):
+            T.gather(T.Tensor(b), np.zeros((3, 2), dtype=np.int64), axis=1)
+        with pytest.raises(ValueError, match="integer"):
+            T.gather(T.Tensor(a), np.array([0.0]), axis=0)
 
     def test_reduce_matches_numpy(self):
         a = rand((2, 3, 4), 9)
@@ -171,14 +195,20 @@ class TestTopK:
             np.testing.assert_array_equal(
                 T.topk_indices(v, k), np.argsort(-v, kind="stable")[:k]
             )
+        # every row along the last axis selects on its own
+        rows = np.stack([v, v[::-1], np.round(v, 1)]).reshape(3, 1, 50)
+        got = T.topk_indices(rows, 5)
+        assert got.shape == (3, 1, 5)
+        for i in range(3):
+            np.testing.assert_array_equal(got[i, 0], np.argsort(-rows[i, 0], kind="stable")[:5])
 
     def test_k_bounds(self):
         with pytest.raises(ValueError, match="out of range"):
             T.topk_indices(np.ones(3), 0)
         with pytest.raises(ValueError, match="out of range"):
             T.topk_indices(np.ones(3), 4)
-        with pytest.raises(ValueError, match="flat"):
-            T.topk_indices(np.ones((2, 2)), 1)
+        with pytest.raises(ValueError, match="1-d"):
+            T.topk_indices(np.float64(1.0), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +249,13 @@ class TestBackward:
         assert a.grad.shape == (3, 4) and b.grad.shape == (4,)
         np.testing.assert_allclose(b.grad, a.grad.sum(axis=0), atol=1e-12)
 
-    def test_gather_rows_accumulates_duplicate_indices(self):
-        x = leaf((4, 2), 7)
-        idx = np.array([1, 1, 3])
-        T.reduce(T.gather_rows(x, idx), kind="sum").backward()
-        expected = np.zeros((4, 2))
-        np.add.at(expected, idx, 1.0)
+    def test_gather_accumulates_duplicate_indices(self):
+        x = leaf((2, 4, 2), 7)
+        idx = np.array([[1, 1, 3], [0, 2, 2]])
+        T.reduce(T.gather(x, idx, axis=1), kind="sum").backward()
+        expected = np.zeros((2, 4, 2))
+        for b in range(2):
+            np.add.at(expected[b], idx[b], 1.0)
         np.testing.assert_array_equal(x.grad, expected)
 
     def test_gradients_are_linear_in_the_loss(self):
