@@ -7,7 +7,15 @@ deterministic synthetic dataset, and a CLI.  Every adjoint is covered by
 finite-difference checks (``heatseg gradcheck``).
 """
 from .coupling import CouplingParams, TopKConfig, coupling_forward
-from .losses import LossWeights, cross_entropy, dice_loss, fisher_loss, heatmap_loss, total_loss
+from .losses import (
+    LabelCounts,
+    LossWeights,
+    ce_dice_loss,
+    fisher_loss,
+    heatmap_loss,
+    label_counts,
+    total_loss,
+)
 from .metrics import ConfusionMatrix, summarize
 from .model import ModelConfig, ModelOutput, SegModel
 from .tensor import Tensor, backward, no_grad
@@ -17,6 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfusionMatrix",
     "CouplingParams",
+    "LabelCounts",
     "LossWeights",
     "ModelConfig",
     "ModelOutput",
@@ -24,11 +33,11 @@ __all__ = [
     "Tensor",
     "TopKConfig",
     "backward",
+    "ce_dice_loss",
     "coupling_forward",
-    "cross_entropy",
-    "dice_loss",
     "fisher_loss",
     "heatmap_loss",
+    "label_counts",
     "no_grad",
     "summarize",
     "total_loss",

@@ -14,6 +14,7 @@ checkpoint untouched.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from typing import Dict, List, Sequence, Tuple
@@ -70,7 +71,13 @@ def save_checkpoint(path, arrays: Sequence[Tuple[str, np.ndarray]], meta: Dict) 
 
 
 def load_checkpoint(path) -> Tuple[Dict[str, np.ndarray], Dict]:
-    """Returns (arrays in storage order, meta); validates structure as it reads."""
+    """Returns (arrays in storage order, meta); validates structure as it reads.
+
+    Any malformed file raises CheckpointError: a header that is not an object,
+    entries without a string name, an integer-list shape or a non-negative
+    integer offset, unknown dtypes, duplicate names, arrays that overlap or run
+    past the end, and bytes left over after the last array.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != MAGIC:
@@ -89,17 +96,52 @@ def load_checkpoint(path) -> Tuple[Dict[str, np.ndarray], Dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable header: {e}") from None
     data = raw[header_end:]
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    entries = header.get("arrays", [])
+    meta = header.get("meta", {})
+    if not isinstance(entries, list) or not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: header 'arrays' must be a list and 'meta' an object")
     arrays: Dict[str, np.ndarray] = {}
-    for entry in header.get("arrays", []):
-        name = entry["name"]
-        dtype = _DTYPES.get(entry["dtype"])
-        if dtype is None:
-            raise CheckpointError(f"{path}: array {name!r} has unknown dtype {entry['dtype']!r}")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + count * dtype.itemsize
+    spans = []
+    for i, entry in enumerate(entries):
+        name, dtype, shape, start = _check_entry(path, i, entry)
+        if name in arrays:
+            raise CheckpointError(f"{path}: duplicate array name {name!r}")
+        end = start + math.prod(shape) * dtype.itemsize
         if end > len(data):
             raise CheckpointError(f"{path}: array {name!r} extends past end of file")
         arrays[name] = np.frombuffer(data[start:end], dtype=dtype).reshape(shape).copy()
-    return arrays, header.get("meta", {})
+        spans.append((start, end, name))
+    spans.sort()
+    for (_, prev_end, prev), (start, _, name) in zip(spans, spans[1:]):
+        if start < prev_end:
+            raise CheckpointError(f"{path}: arrays {prev!r} and {name!r} overlap")
+    data_end = spans[-1][1] if spans else 0
+    if len(data) > data_end:
+        raise CheckpointError(f"{path}: {len(data) - data_end} trailing bytes after the arrays")
+    return arrays, meta
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_entry(path, i: int, entry):
+    """(name, dtype, shape, offset) of one header entry, or CheckpointError."""
+    if not isinstance(entry, dict):
+        raise CheckpointError(f"{path}: array entry {i} is not an object")
+    name = entry.get("name")
+    if not isinstance(name, str):
+        raise CheckpointError(f"{path}: array entry {i} has no string 'name'")
+    code = entry.get("dtype")
+    dtype = _DTYPES.get(code) if isinstance(code, str) else None
+    if dtype is None:
+        raise CheckpointError(f"{path}: array {name!r} has unknown dtype {code!r}")
+    shape = entry.get("shape")
+    if not isinstance(shape, list) or not all(_is_int(d) and d >= 0 for d in shape):
+        raise CheckpointError(f"{path}: array {name!r} shape {shape!r} is not a list of extents")
+    offset = entry.get("offset")
+    if not _is_int(offset) or offset < 0:
+        raise CheckpointError(f"{path}: array {name!r} offset {offset!r} is not a non-negative integer")
+    return name, dtype, tuple(shape), offset

@@ -2,7 +2,8 @@
 
 Results (metrics JSON, gradient report, synth summary) go to stdout; progress
 and diagnostics go to stderr.  Exit code 0 means success, 1 means a failed
-check or diverged run, 2 means bad input.
+check, a diverged run or a checkpoint holding non-finite values, 2 means bad
+input.
 """
 from __future__ import annotations
 
@@ -37,9 +38,13 @@ from .optim import AdamState, adam_step, cosine_lr, zero_grad
 from .tensor import Tensor, no_grad
 
 
-def _fail(message: str) -> int:
+class NonFiniteCheckpoint(Exception):
+    """A checkpoint holds NaN or infinite values; commands exit 1 on it."""
+
+
+def _fail(message: str, code: int = 2) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return 2
+    return code
 
 
 def cmd_synth(args) -> int:
@@ -141,7 +146,7 @@ def cmd_train(args) -> int:
 
             out = model.forward(Tensor(images))
             loss, parts = total_loss(
-                out.logits, out.probs, labels,
+                out.logits, labels,
                 out.scores_per_layer, out.embeddings_per_layer, cfg.loss_weights(),
             )
             zero_grad(params)
@@ -171,6 +176,10 @@ def cmd_train(args) -> int:
 
 def _model_from_checkpoint(ckpt_path):
     arrays, meta = load_checkpoint(ckpt_path)
+    # argmax of NaN scores is 0, so such weights would still give metrics
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise NonFiniteCheckpoint(f"{ckpt_path}: array {name!r} holds non-finite values")
     stored = meta.get("config")
     if not isinstance(stored, dict):
         raise CheckpointError(f"{ckpt_path}: checkpoint has no stored config")
@@ -208,8 +217,9 @@ def cmd_export_heatmaps(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    batch = image[None].astype(cfg.dtype)
     with no_grad():
-        out = model.forward(Tensor(image[None].astype(cfg.dtype)))
+        out = model.forward(Tensor(batch))
     for li, heat in enumerate(out.heat_per_layer, start=1):
         for n in range(cfg.num_categories):
             channel = heat.data[0, n]
@@ -219,7 +229,7 @@ def cmd_export_heatmaps(args) -> int:
             else:
                 scaled = np.round((channel - channel.min()) / span * 255.0).astype(np.uint8)
             save_pgm(out_dir / f"layer{li}_class{n}.pgm", scaled)
-    pred = np.argmax(out.probs.data, axis=1)[0].astype(np.uint8)
+    pred = model.predict(batch)[0].astype(np.uint8)
     save_pgm(out_dir / "pred.pgm", pred)
     written = len(out.heat_per_layer) * cfg.num_categories + 1
     print(f"wrote {written} files to {out_dir}", file=sys.stderr)
@@ -284,6 +294,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except NonFiniteCheckpoint as e:
+        return _fail(str(e), code=1)
     except (ConfigError, DataError, CheckpointError, ValueError, OSError) as e:
         return _fail(str(e))
 

@@ -213,10 +213,10 @@ def modulate_and_fuse(
 
 
 def coupling_forward(feats: Tensor, emb: Tensor, params: CouplingParams, cfg: TopKConfig):
-    """One full layer pass; returns (feats_out, emb_out, scores, heat).
+    """One full layer pass; returns (feats_out, emb_out, scores, heat_rows).
 
-    feats is (B, P, c_feat) and emb (B, N, c_class); scores and heat come back
-    as (B, P, N).
+    feats is (B, P, c_feat) and emb (B, N, c_class); scores come back as
+    (B, P, N) and the heat as (B, N, P), one row per category channel.
     """
     scores, heat = class_heatmaps(feats, emb, params.w_query, params.b_query)
     # one row per category channel, pixels last
@@ -230,4 +230,4 @@ def coupling_forward(feats: Tensor, emb: Tensor, params: CouplingParams, cfg: To
         emb_out, params.w_scale, params.b_scale, params.w_shift, params.b_shift
     )
     feats_out = modulate_and_fuse(feats, gamma, beta, scores, params.blend)
-    return feats_out, emb_out, scores, heat
+    return feats_out, emb_out, scores, heat_rows

@@ -230,8 +230,7 @@ def model_checks(seed: int = 0, eps: float = DEFAULT_EPS, tol: float = DEFAULT_T
     def build():
         out = model.forward(images)
         loss, _ = total_loss(
-            out.logits, out.probs, labels,
-            out.scores_per_layer, out.embeddings_per_layer, weights,
+            out.logits, labels, out.scores_per_layer, out.embeddings_per_layer, weights
         )
         return loss
 

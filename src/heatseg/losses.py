@@ -2,6 +2,9 @@
 heatmap supervision on every layer's raw scores, and a within/between scatter
 ratio that pushes per-category embeddings apart across the batch.
 
+The prediction and the layer scores stay on the coupled grid (H/f x W/f);
+the labels come to them as per-block counts, built once per step.
+
 The total is main + lambda_heatmap * heat term + lambda_fisher * scatter term.
 Zero-weight terms still enter the graph; multiplying by an exact 0.0 adds
 nothing to either the value or the gradients, so a zero-lambda run follows the
@@ -10,20 +13,11 @@ main-only trajectory bitwise while the terms remain available for logging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensor import (
-    Tensor,
-    exp,
-    log,
-    mul,
-    reduce,
-    reshape,
-    softmax_axis,
-    upsample_nearest,
-)
+from .tensor import Tensor, exp, log, mul, reduce
 
 
 @dataclass
@@ -61,83 +55,82 @@ def _check_labels(labels: np.ndarray, num_categories: int, ignore_index) -> np.n
     return mask
 
 
-def _one_hot(labels: np.ndarray, num_categories: int, mask: np.ndarray, dtype) -> np.ndarray:
-    """(B, N, H, W) indicator array, zero on ignored pixels."""
-    clipped = np.where(mask, labels, 0)
-    oh = clipped[:, None, :, :] == np.arange(num_categories)[None, :, None, None]
-    return (oh & mask[:, None, :, :]).astype(dtype)
+@dataclass(frozen=True)
+class LabelCounts:
+    """Label statistics of a batch on a score grid of H/f x W/f blocks.
 
-
-def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: Optional[int] = None) -> Tensor:
-    """Mean negative log-likelihood over scored pixels, from raw logits.
-
-    The per-pixel max is subtracted as a constant before exponentiation; that
-    leaves the gradients exact while keeping the exponentials bounded.
+    ``cnt[b, n, i, j]`` is the number of scored pixels of category n in block
+    (i, j) of image b, ``valid[b, 0, i, j]`` the number of scored pixels in
+    that block, and ``n_scored`` the number of scored pixels in the batch.
     """
-    if logits.ndim != 4:
-        raise ValueError(f"expected logits shaped (B, N, H, W), got {logits.shape}")
-    n = logits.shape[1]
-    if labels.shape != (logits.shape[0], logits.shape[2], logits.shape[3]):
-        raise ValueError(f"labels shape {labels.shape} does not match logits {logits.shape}")
-    mask = _check_labels(labels, n, ignore_index)
-    dtype = logits.dtype
-    onehot = Tensor(_one_hot(labels, n, mask, dtype))
 
-    shift = Tensor(logits.data.max(axis=1, keepdims=True))
-    z = logits - shift
-    lse = log(reduce(exp(z), axis=1, kind="sum", keepdims=True))
-    picked = reduce(mul(z - lse, onehot), axis=1, kind="sum")
-    count = float(mask.sum())
-    return -(reduce(picked, kind="sum") / count)
+    cnt: np.ndarray
+    valid: np.ndarray
+    n_scored: float
 
 
-def dice_loss(
-    probs: Tensor,
-    labels: np.ndarray,
-    ignore_index: Optional[int] = None,
-    smooth: float = 1.0,
-) -> Tensor:
-    """One minus the soft dice coefficient averaged over every category.
+def label_counts(labels: np.ndarray, scores: Tensor, ignore_index: Optional[int] = None) -> LabelCounts:
+    """Count the (B, H, W) labels into the blocks of a (B, N, h, w) score map.
 
-    Overlap and mass sums run over the whole batch; ignored pixels are
-    excluded from all sums.  Categories absent from both prediction mass and
-    labels still contribute via the smoothing term.
+    The counts take the dtype of ``scores``; H and W must be multiples of h
+    and w by one common factor.
     """
-    if probs.ndim != 4:
-        raise ValueError(f"expected probabilities shaped (B, N, H, W), got {probs.shape}")
-    n = probs.shape[1]
+    if scores.ndim != 4:
+        raise ValueError(f"expected scores shaped (B, N, h, w), got {scores.shape}")
+    batch, n, hh, ww = scores.shape
+    if labels.ndim != 3 or labels.shape[0] != batch:
+        raise ValueError(f"labels shape {labels.shape} does not match scores {scores.shape}")
+    height, width = labels.shape[1:]
+    if height % hh or width % ww or height // hh != width // ww:
+        raise ValueError(
+            f"label extents {labels.shape[1:]} not a multiple of "
+            f"score extents {(hh, ww)} by one factor"
+        )
     mask = _check_labels(labels, n, ignore_index)
-    dtype = probs.dtype
-    onehot = Tensor(_one_hot(labels, n, mask, dtype))
-    mask_t = Tensor(mask[:, None, :, :].astype(dtype))
-
-    p = mul(probs, mask_t)
-    inter = reduce(mul(p, onehot), axis=(0, 2, 3), kind="sum")
-    p_sum = reduce(p, axis=(0, 2, 3), kind="sum")
-    g_sum = reduce(onehot, axis=(0, 2, 3), kind="sum")
-    dice = ((2.0 * inter) + smooth) / (p_sum + g_sum + smooth)
-    return 1.0 - reduce(dice, kind="mean")
+    f = height // hh
+    # flat (b, n, i, j) bin of every pixel; ignored pixels are never counted
+    block = (np.arange(height) // f)[:, None] * ww + (np.arange(width) // f)[None, :]
+    bins = (np.arange(batch)[:, None, None] * n + np.where(mask, labels, 0)) * (hh * ww) + block
+    cnt = np.bincount(bins[mask], minlength=batch * n * hh * ww)
+    cnt = cnt.reshape(batch, n, hh, ww).astype(scores.dtype)
+    return LabelCounts(cnt, cnt.sum(axis=1, keepdims=True), float(mask.sum()))
 
 
-def heatmap_loss(
-    scores_per_layer: Sequence[Tensor],
-    labels: np.ndarray,
-    ignore_index: Optional[int] = None,
-) -> Tensor:
-    """Deep supervision: CE plus dice of each layer's upsampled raw scores."""
+def ce_dice_loss(scores: Tensor, counts: LabelCounts, smooth: float = 1.0) -> Tensor:
+    """Cross entropy plus soft dice of a (B, N, h, w) score map on its own grid.
+
+    Equal to both losses on the scores nearest-upsampled to the label
+    resolution, since upsampling repeats one value over each block: CE is
+    -sum(cnt * log_softmax) / n_scored, and the dice overlap and prediction
+    mass weight the softmax by the per-block category and scored-pixel
+    counts.  Dice sums over the whole batch and averages over every category,
+    so categories absent from both prediction mass and labels still
+    contribute through the smoothing term.  The per-pixel max is subtracted as
+    a constant before exponentiation; that leaves the gradients exact while
+    keeping the exponentials bounded.
+    """
+    if scores.shape != counts.cnt.shape:
+        raise ValueError(f"scores {scores.shape} do not match label counts {counts.cnt.shape}")
+    cnt = Tensor(counts.cnt)
+    shifted = scores - Tensor(scores.data.max(axis=1, keepdims=True))
+    log_p = shifted - log(reduce(exp(shifted), axis=1, kind="sum", keepdims=True))
+    ce = reduce(mul(log_p, cnt), kind="sum") / -counts.n_scored
+
+    p = exp(log_p)
+    inter = reduce(mul(p, cnt), axis=(0, 2, 3), kind="sum")
+    p_sum = reduce(mul(p, Tensor(counts.valid)), axis=(0, 2, 3), kind="sum")
+    g_sum = counts.cnt.sum(axis=(0, 2, 3))
+    dice = (2.0 * inter + smooth) / (p_sum + (g_sum + smooth))
+    return ce + (1.0 - reduce(dice, kind="mean"))
+
+
+def heatmap_loss(scores_per_layer: Sequence[Tensor], counts: LabelCounts) -> Tensor:
+    """Deep supervision: CE plus dice of each layer's raw scores on the coupled grid."""
     if not scores_per_layer:
         return Tensor(0.0)
     total = None
     for scores in scores_per_layer:
-        if labels.shape[1] % scores.shape[2] or labels.shape[2] % scores.shape[3]:
-            raise ValueError(
-                f"label extents {labels.shape[1:]} not a multiple of "
-                f"score extents {tuple(scores.shape[2:])}"
-            )
-        factor = labels.shape[1] // scores.shape[2]
-        up = upsample_nearest(scores, factor)
-        term = cross_entropy(up, labels, ignore_index)
-        term = term + dice_loss(softmax_axis(up, axis=1), labels, ignore_index)
+        term = ce_dice_loss(scores, counts)
         total = term if total is None else total + term
     return total
 
@@ -174,16 +167,19 @@ def fisher_loss(embeddings_per_layer: Sequence[Tensor], eps: float = 1e-6) -> Te
 
 def total_loss(
     logits: Tensor,
-    probs: Tensor,
     labels: np.ndarray,
     scores_per_layer: Sequence[Tensor],
     embeddings_per_layer: Sequence[Tensor],
     weights: LossWeights,
 ) -> Tuple[Tensor, Dict[str, float]]:
-    """Combined objective and a float breakdown for logging."""
-    main = cross_entropy(logits, labels, weights.ignore_index)
-    main = main + dice_loss(probs, labels, weights.ignore_index)
-    heat = heatmap_loss(scores_per_layer, labels, weights.ignore_index)
+    """Combined objective and a float breakdown for logging.
+
+    ``logits`` and every layer's scores share the coupled grid, so the label
+    counts are built once and serve every CE + dice term.
+    """
+    counts = label_counts(labels, logits, weights.ignore_index)
+    main = ce_dice_loss(logits, counts)
+    heat = heatmap_loss(scores_per_layer, counts)
     fisher = fisher_loss(embeddings_per_layer, weights.fisher_eps)
     total = main + weights.lambda_heatmap * heat + weights.lambda_fisher * fisher
     parts = {

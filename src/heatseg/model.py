@@ -9,8 +9,9 @@ coarser ones by nearest upsampling), then summed into the base feature map.
 Decoding flattens the base map to (B, P, c_feat) pixel features, broadcasts a
 learnable, input-independent embedding table shared by all images to
 (B, N, c_class), and runs the coupling layer L times on the whole batch.  The
-head scores pixels against projected final embeddings, upsamples the scores to
-the input resolution, and softmaxes over categories.
+head scores pixels against projected final embeddings on the coupled grid;
+those logits, like every layer's scores, are the prediction at H/factor x
+W/factor.  ``predict`` repeats their argmax over each factor x factor block.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from .tensor import (
     no_grad,
     relu,
     reshape,
-    softmax_axis,
     swapaxes,
     upsample_nearest,
 )
@@ -87,18 +87,11 @@ class ModelConfig:
 
 @dataclass
 class ModelOutput:
-    logits: Tensor                       # (B, N, H, W), pre-softmax
-    probs: Tensor                        # (B, N, H, W)
+    logits: Tensor                       # (B, N, H', W'), pre-softmax
     scores_per_layer: List[Tensor]       # each (B, N, H', W'), raw heat scores
     heat_per_layer: List[Tensor]         # each (B, N, H', W'), sigmoid heat
     embeddings_per_layer: List[Tensor]   # each (B, N, c_class), post-update
     features: Tensor                     # (B, c_feat, H', W'), encoder output
-
-
-def _category_maps(per_pixel: Tensor, hh: int, ww: int) -> Tensor:
-    """(B, P, N) per-pixel values as (B, N, H', W') category maps."""
-    batch, _pixels, n = per_pixel.shape
-    return reshape(swapaxes(per_pixel, 1, 2), (batch, n, hh, ww))
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape, dtype) -> np.ndarray:
@@ -221,32 +214,30 @@ class SegModel:
         # adding zeros broadcasts the shared table; the adjoint sums the batch back
         emb = self.embeddings + np.zeros((batch, 1, 1))
 
+        maps = (batch, self.config.num_categories, hh, ww)
         scores_layers: List[Tensor] = []
         heat_layers: List[Tensor] = []
         emb_layers: List[Tensor] = []
         for layer in self.layers:
+            # scores come as (B, P, N), the heat already as (B, N, P) rows
             feats, emb, scores, heat = coupling_forward(feats, emb, layer, topk)
-            scores_layers.append(_category_maps(scores, hh, ww))
-            heat_layers.append(_category_maps(heat, hh, ww))
+            scores_layers.append(reshape(swapaxes(scores, 1, 2), maps))
+            heat_layers.append(reshape(heat, maps))
             emb_layers.append(emb)
         return feats, emb, scores_layers, heat_layers, emb_layers
 
-    def output_head(self, feats: Tensor, emb: Tensor, hh: int, ww: int):
-        """Logits and probabilities (B, N, H, W) from (B, P, c_feat) features."""
+    def output_head(self, feats: Tensor, emb: Tensor, hh: int, ww: int) -> Tensor:
+        """(B, N, H', W') logits on the coupled grid from (B, P, c_feat) features."""
         queries = matmul(emb, self.head_w) + self.head_b
         z = matmul(queries, swapaxes(feats, 1, 2))
-        logits_low = reshape(z, (z.shape[0], z.shape[1], hh, ww))
-        logits = upsample_nearest(logits_low, self.config.downsample_factor)
-        return logits, softmax_axis(logits, axis=1)
+        return reshape(z, (z.shape[0], z.shape[1], hh, ww))
 
     def forward(self, images: Tensor) -> ModelOutput:
         base = self.encoder_forward(images)
         hh, ww = base.shape[2], base.shape[3]
         feats, emb, scores_layers, heat_layers, emb_layers = self.decode(base)
-        logits, probs = self.output_head(feats, emb, hh, ww)
         return ModelOutput(
-            logits=logits,
-            probs=probs,
+            logits=self.output_head(feats, emb, hh, ww),
             scores_per_layer=scores_layers,
             heat_per_layer=heat_layers,
             embeddings_per_layer=emb_layers,
@@ -254,7 +245,9 @@ class SegModel:
         )
 
     def predict(self, images: np.ndarray) -> np.ndarray:
-        """Argmax category map, ties resolved toward the lower index."""
+        """(B, H, W) category map: the argmax of the coupled-grid logits, ties
+        resolved toward the lower index, repeated over each factor x factor block."""
         with no_grad():
             out = self.forward(Tensor(images.astype(self.dtype, copy=False)))
-        return np.argmax(out.probs.data, axis=1)
+        f = self.config.downsample_factor
+        return np.argmax(out.logits.data, axis=1).repeat(f, axis=1).repeat(f, axis=2)

@@ -1,4 +1,5 @@
 """Checkpoint container tests: bit-exact round trips and structural errors."""
+import json
 import struct
 
 import numpy as np
@@ -125,3 +126,130 @@ def test_failed_save_leaves_previous_checkpoint_intact(tmp_path, monkeypatch):
         save_checkpoint(path, [("weights", np.ones((3, 4)))], {"step": 2})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+# ---------------------------------------------------------------------------
+# malformed headers
+
+
+def split_file(raw):
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    return json.loads(raw[12 : 12 + header_len]), raw[12 + header_len :]
+
+
+def pack_file(header, data):
+    body = json.dumps(header).encode("utf-8")
+    return b"BCRS" + struct.pack("<II", 1, len(body)) + body + data
+
+
+def valid_file(tmp_path):
+    path = tmp_path / "valid"
+    save_checkpoint(path, arrays_fixture(), {"step": 1})
+    return path.read_bytes()
+
+
+def drop(key):
+    return lambda entry: entry.pop(key)
+
+
+def put(key, value):
+    return lambda entry: entry.__setitem__(key, value)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (drop("name"), "no string 'name'"),
+    (put("name", 3), "no string 'name'"),
+    (put("dtype", "<i4"), "unknown dtype"),
+    (drop("dtype"), "unknown dtype"),
+    (put("shape", "3,4"), "not a list of extents"),
+    (put("shape", [3, -4]), "not a list of extents"),
+    (put("shape", [3.0, 4]), "not a list of extents"),
+    (put("shape", [True, 4]), "not a list of extents"),
+    (put("offset", -8), "not a non-negative integer"),
+    (put("offset", 0.0), "not a non-negative integer"),
+    (drop("offset"), "not a non-negative integer"),
+])
+def test_malformed_entry_rejected(tmp_path, mutate, message):
+    header, data = split_file(valid_file(tmp_path))
+    mutate(header["arrays"][0])
+    path = tmp_path / "x"
+    path.write_bytes(pack_file(header, data))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: [h], "not a JSON object"),
+    (lambda h: {**h, "arrays": {}}, "'arrays' must be a list"),
+    (lambda h: {**h, "meta": [1]}, "'meta' an object"),
+    (lambda h: {**h, "arrays": h["arrays"] + [7]}, "entry 3 is not an object"),
+    (lambda h: {**h, "arrays": h["arrays"] + [dict(h["arrays"][0])]}, "duplicate array name"),
+    (lambda h: {**h, "arrays": [{**h["arrays"][0], "offset": 8}] + h["arrays"][1:]},
+     "overlap"),
+])
+def test_malformed_header_rejected(tmp_path, edit, message):
+    header, data = split_file(valid_file(tmp_path))
+    path = tmp_path / "x"
+    path.write_bytes(pack_file(edit(header), data))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "x"
+    path.write_bytes(valid_file(tmp_path) + b"\x00" * 4)
+    with pytest.raises(CheckpointError, match="4 trailing bytes"):
+        load_checkpoint(path)
+
+
+FUZZ_VALUES = [None, True, -1, 0, 3, 2**40, -(2**40), 1.5, "", "x", "<f8", [], [2], [-1],
+               [2**31, 2**31], {}, {"name": "a"}]
+
+
+def fuzz_cases(raw, rng, mutations):
+    """Every truncation inside the header, then seeded field mutations."""
+    header, data = split_file(raw)
+    for cut in range(len(raw) - len(data)):
+        yield raw[:cut]
+    for _ in range(mutations):
+        doc = json.loads(json.dumps(header))
+        value = FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
+        target = rng.integers(4)
+        if target == 0:
+            doc[["arrays", "meta"][rng.integers(2)]] = value
+        elif target == 1:
+            doc = value
+        else:
+            entry = doc["arrays"][rng.integers(len(doc["arrays"]))]
+            key = ["name", "shape", "offset", "dtype"][rng.integers(4)]
+            if target == 2:
+                entry[key] = value
+            else:
+                entry.pop(key)
+        yield pack_file(doc, data)
+
+
+def test_fuzzed_checkpoints_exit_two_or_load(tmp_path, tiny_config, tiny_data_dir, capsys):
+    from heatseg.cli import main
+    from heatseg.config import load_run_config
+    from heatseg.model import SegModel
+
+    # no coupling layers keeps the header, and so the truncation count, small
+    cfg = load_run_config(tiny_config(decoder_layers=0))
+    model = SegModel(cfg.model_config(), seed=cfg.seed, dtype=cfg.dtype)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, [(n, p.data) for n, p in model.named_parameters()],
+                    {"config": cfg.to_dict(), "step": 0})
+    raw = path.read_bytes()
+    loaded = rejected = 0
+    for case in fuzz_cases(raw, np.random.default_rng(1234), mutations=200):
+        path.write_bytes(case)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            rejected += 1
+            assert main(["eval", "--ckpt", str(path), "--data", str(tiny_data_dir)]) == 2
+        else:
+            loaded += 1
+    capsys.readouterr()
+    assert rejected > len(raw) - len(split_file(raw)[1]) and loaded > 0

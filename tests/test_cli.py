@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from heatseg import cli
-from heatseg.checkpoint import load_checkpoint
+from heatseg.checkpoint import load_checkpoint, save_checkpoint
 from heatseg.cli import main
-from heatseg.data import load_dataset, load_pgm
+from heatseg.config import load_run_config
+from heatseg.data import load_dataset, load_pgm, load_ppm
 from heatseg.losses import total_loss
+from heatseg.model import SegModel
 
 
 def read_log(path):
@@ -161,6 +163,33 @@ class TestEval:
         assert main(["eval", "--ckpt", "/nonexistent", "--data", str(tiny_data_dir)]) == 2
 
 
+@pytest.fixture()
+def nan_checkpoint(tmp_path, tiny_config):
+    """A freshly initialised model saved by hand with one NaN in its head."""
+    cfg = load_run_config(tiny_config())
+    model = SegModel(cfg.model_config(), seed=cfg.seed, dtype=cfg.dtype)
+    arrays = {name: p.data.copy() for name, p in model.named_parameters()}
+    arrays["head.weight"][0, 0] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(ckpt, list(arrays.items()), {"config": cfg.to_dict(), "step": 0})
+    return ckpt
+
+
+@pytest.mark.parametrize("command", ["eval", "export-heatmaps"])
+def test_non_finite_checkpoint_exits_one(nan_checkpoint, tiny_data_dir, tmp_path, capsys,
+                                         command):
+    if command == "eval":
+        argv = ["eval", "--ckpt", str(nan_checkpoint), "--data", str(tiny_data_dir)]
+    else:
+        argv = ["export-heatmaps", "--ckpt", str(nan_checkpoint),
+                "--image", str(tiny_data_dir / "images" / "img_00000.ppm"),
+                "--out", str(tmp_path / "maps")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "'head.weight' holds non-finite values" in captured.err
+    assert captured.out == "" and not (tmp_path / "maps").exists()
+
+
 class TestExportHeatmaps:
     def test_writes_one_map_per_layer_and_category(self, trained, tiny_data_dir, tmp_path, capsys):
         out = tmp_path / "maps"
@@ -174,6 +203,9 @@ class TestExportHeatmaps:
         )
         pred = load_pgm(out / "pred.pgm")
         assert pred.shape == (16, 16) and pred.max() < 3
+        # the same prediction eval scores
+        model, _ = cli._model_from_checkpoint(trained)
+        np.testing.assert_array_equal(pred, model.predict(load_ppm(image)[None])[0])
         for n in range(3):
             # maps are spread to the full byte range unless constant
             channel = load_pgm(out / f"layer1_class{n}.pgm")

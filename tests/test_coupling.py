@@ -174,7 +174,10 @@ class TestPieces:
 
 
 def layer_oracle(feats, emb, p, ratio, eps):
-    """Re-derives one layer with per-pixel mixing, no factoring tricks."""
+    """Re-derives one layer with per-pixel mixing, no factoring tricks.
+
+    Scores come back as (P, N) and the heat as (N, P), as the layer gives them.
+    """
     q = emb @ p.w_query.data + p.b_query.data
     scores = feats @ q.T
     heat = 1.0 / (1.0 + np.exp(-scores))
@@ -202,7 +205,7 @@ def layer_oracle(feats, emb, p, ratio, eps):
         for cat in range(n):
             mixed += soft[pi, cat] * (gamma[cat] * feats[pi] + beta[cat])
         out[pi] = alpha * feats[pi] + (1.0 - alpha) * mixed
-    return out, emb_new, scores, heat
+    return out, emb_new, scores, heat.T
 
 
 class TestFullLayer:

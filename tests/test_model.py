@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heatseg.model import ModelConfig, SegModel
-from heatseg.tensor import Tensor
+from heatseg.tensor import Tensor, softmax_axis
 
 
 def small_config(**overrides):
@@ -57,8 +57,7 @@ class TestForwardShapes:
     def test_output_shapes(self):
         model = SegModel(small_config(), seed=0)
         out = model.forward(Tensor(images()))
-        assert out.logits.shape == (2, 3, 16, 16)
-        assert out.probs.shape == (2, 3, 16, 16)
+        assert out.logits.shape == (2, 3, 4, 4)
         assert out.features.shape == (2, 12, 4, 4)
         assert len(out.scores_per_layer) == 2 and len(out.heat_per_layer) == 2
         for scores, heat in zip(out.scores_per_layer, out.heat_per_layer):
@@ -70,25 +69,26 @@ class TestForwardShapes:
     def test_probabilities_sum_to_one(self):
         model = SegModel(small_config(), seed=1)
         out = model.forward(Tensor(images(seed=2)))
-        np.testing.assert_allclose(out.probs.data.sum(axis=1), 1.0, atol=1e-9)
+        probs = softmax_axis(out.logits, axis=1).data
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_zero_layer_decode_skips_coupling(self):
         model = SegModel(small_config(decoder_layers=0), seed=3)
         out = model.forward(Tensor(images(seed=3)))
         assert out.scores_per_layer == [] and out.embeddings_per_layer == []
-        assert out.logits.shape == (2, 3, 16, 16)
+        assert out.logits.shape == (2, 3, 4, 4)
 
     def test_single_layer_runs(self):
         model = SegModel(small_config(decoder_layers=1), seed=4)
         out = model.forward(Tensor(images(seed=4)))
         assert len(out.scores_per_layer) == 1
 
-    def test_logits_are_nearest_upsampled_from_low_resolution(self):
+    def test_predict_repeats_one_label_per_block(self):
         model = SegModel(small_config(), seed=5)
-        out = model.forward(Tensor(images(seed=5)))
-        blocks = out.logits.data.reshape(2, 3, 4, 4, 4, 4)
-        # every 4x4 block repeats one low-resolution value
-        assert np.all(blocks == blocks[:, :, :, :1, :, :1])
+        pred = model.predict(images(seed=5))
+        blocks = pred.reshape(2, 4, 4, 4, 4)
+        # every 4x4 block repeats one coupled-grid label
+        assert np.all(blocks == blocks[:, :, :1, :, :1])
 
     def test_encoder_input_validation(self):
         model = SegModel(small_config(), seed=6)
@@ -97,13 +97,21 @@ class TestForwardShapes:
         with pytest.raises(ValueError, match="divisible"):
             model.encoder_forward(Tensor(np.zeros((2, 3, 18, 18))))
 
-    def test_predict_is_argmax_of_probabilities(self):
+    def test_predict_is_repeated_low_resolution_argmax(self):
         model = SegModel(small_config(), seed=7)
         x = images(seed=8)
         pred = model.predict(x)
         out = model.forward(Tensor(x))
-        np.testing.assert_array_equal(pred, np.argmax(out.probs.data, axis=1))
+        low = np.argmax(out.logits.data, axis=1)
+        np.testing.assert_array_equal(pred, low.repeat(4, axis=1).repeat(4, axis=2))
         assert pred.shape == (2, 16, 16) and np.issubdtype(pred.dtype, np.integer)
+
+    def test_predict_breaks_ties_toward_lower_index(self):
+        model = SegModel(small_config(), seed=10)
+        # a zero head scores every category 0 everywhere
+        model.head_w.data[...] = 0.0
+        model.head_b.data[...] = 0.0
+        assert np.all(model.predict(images(seed=11)) == 0)
 
     def test_predict_builds_no_graph(self):
         model = SegModel(small_config(), seed=8)
