@@ -110,6 +110,14 @@ def cmd_train(args) -> int:
                 if (stored or {}).get(k) != cfg.to_dict().get(k)
             )
             return _fail(f"resume config mismatch on keys: {', '.join(diff)}")
+        start_step = meta.get("step")
+        # bool is an int subclass, but true is no step count
+        if (not isinstance(start_step, int) or isinstance(start_step, bool)
+                or not 0 <= start_step <= cfg.total_steps):
+            raise CheckpointError(
+                f"{args.resume}: checkpoint step {json.dumps(start_step)} is not an "
+                f"integer in [0, {cfg.total_steps}]"
+            )
         model.load_arrays(arrays)
         for i, (name, _) in enumerate(named):
             for kind, buf in (("m", state.m), ("v", state.v)):
@@ -117,7 +125,6 @@ def cmd_train(args) -> int:
                 if key not in arrays:
                     return _fail(f"checkpoint is missing optimizer array {key!r}")
                 buf[i] = arrays[key].astype(cfg.dtype, copy=True)
-        start_step = int(meta.get("step", 0))
         state.t = start_step
 
     target = cfg.total_steps

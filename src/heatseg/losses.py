@@ -125,9 +125,12 @@ def ce_dice_loss(scores: Tensor, counts: LabelCounts, smooth: float = 1.0) -> Te
 
 
 def heatmap_loss(scores_per_layer: Sequence[Tensor], counts: LabelCounts) -> Tensor:
-    """Deep supervision: CE plus dice of each layer's raw scores on the coupled grid."""
+    """Deep supervision: CE plus dice of each layer's raw scores on the coupled grid.
+
+    With no layers the term is a zero in the dtype of the counts.
+    """
     if not scores_per_layer:
-        return Tensor(0.0)
+        return Tensor(np.zeros((), dtype=counts.cnt.dtype))
     total = None
     for scores in scores_per_layer:
         term = ce_dice_loss(scores, counts)
@@ -180,7 +183,12 @@ def total_loss(
     counts = label_counts(labels, logits, weights.ignore_index)
     main = ce_dice_loss(logits, counts)
     heat = heatmap_loss(scores_per_layer, counts)
-    fisher = fisher_loss(embeddings_per_layer, weights.fisher_eps)
+    # with no layers there are no embeddings to take the dtype from, and a
+    # float64 zero would promote the whole single-precision graph
+    if embeddings_per_layer:
+        fisher = fisher_loss(embeddings_per_layer, weights.fisher_eps)
+    else:
+        fisher = Tensor(np.zeros((), dtype=logits.dtype))
     total = main + weights.lambda_heatmap * heat + weights.lambda_fisher * fisher
     parts = {
         "l_total": total.item(),

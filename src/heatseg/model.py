@@ -2,9 +2,10 @@
 
 The encoder is a fixed stack of 3x3 convolution + relu stages; the first
 log2(downsample_factor) stages use stride 2 and the final stage stride 1.
-Every stage output is projected to c_feat by a 1x1 convolution and folded to
-the aggregation scale H/factor x W/factor (finer maps by a strided projection,
-coarser ones by nearest upsampling), then summed into the base feature map.
+Every convolution adds its bias inside ``conv2d``.  Every stage output is
+projected to c_feat by a 1x1 convolution, strided down to the aggregation scale
+H/factor x W/factor (the strided stages come first, so no stage is coarser),
+then summed into the base feature map.
 
 Decoding flattens the base map to (B, P, c_feat) pixel features, broadcasts a
 learnable, input-independent embedding table shared by all images to
@@ -30,7 +31,6 @@ from .tensor import (
     relu,
     reshape,
     swapaxes,
-    upsample_nearest,
 )
 
 
@@ -187,17 +187,12 @@ class SegModel:
         # center [0, 1] inputs so the first stage sees a signed signal
         h = 2.0 * images - 1.0
         for (w, b), (_width, stride) in zip(self.enc_weights, self.config.stage_plan):
-            h = relu(conv2d(h, w, stride=stride, padding=1) + reshape(b, (b.shape[0], 1, 1)))
+            h = relu(conv2d(h, w, b, stride, 1))
             stage_outs.append(h)
 
         agg = None
         for (w, b), stage in zip(self.proj_weights, stage_outs):
-            scale = stage.shape[2]
-            if scale >= target:
-                proj = conv2d(stage, w, stride=scale // target, padding=0)
-            else:
-                proj = upsample_nearest(conv2d(stage, w, stride=1, padding=0), target // scale)
-            proj = proj + reshape(b, (b.shape[0], 1, 1))
+            proj = conv2d(stage, w, b, stride=stage.shape[2] // target)
             agg = proj if agg is None else agg + proj
         return agg
 

@@ -444,9 +444,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), _bw)
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlate a (B, C, H, W) input with an (O, C, kh, kw) kernel."""
-    xd, wd = x.data, w.data
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """Cross-correlate a (B, C, H, W) input with an (O, C, kh, kw) kernel and add the (O,) bias."""
+    xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ValueError("conv2d expects a 4-d input and a 4-d kernel")
     batch, cin, height, width = xd.shape
@@ -455,6 +455,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         raise ValueError(f"conv2d channel mismatch: input has {cin}, kernel expects {ck}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d kernel extents must be odd, got ({kh}, {kw})")
+    if bd.shape != (cout,):
+        raise ValueError(f"conv2d bias must be shaped ({cout},), got {bd.shape}")
     s, p = int(stride), int(padding)
     if s < 1 or p < 0:
         raise ValueError("conv2d stride must be >= 1 and padding >= 0")
@@ -463,29 +465,40 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     if oh < 1 or ow < 1:
         raise ValueError(f"conv2d output extents ({oh}, {ow}) are not positive")
 
+    # a 1x1, stride-1, unpadded kernel reads the input itself as its columns
+    pointwise = kh == kw == 1 and s == 1 and p == 0
     xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
-    cols = cols.reshape(batch, cin * kh * kw, oh * ow)
+    if pointwise:
+        cols = xd.reshape(batch, cin, height * width)
+    else:
+        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+        cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
+        cols = cols.reshape(batch, cin * kh * kw, oh * ow)
     wmat = wd.reshape(cout, cin * kh * kw)
     out = np.matmul(wmat, cols).reshape(batch, cout, oh, ow)
+    out += bd.reshape(cout, 1, 1)
 
     def _bw(g):
         g2 = g.reshape(batch, cout, oh * ow)
-        gw = None
-        gx = None
+        gx = gw = gb = None
         if w.requires_grad:
-            gw = np.einsum("bol,bkl->ok", g2, cols, optimize=True).reshape(wd.shape)
+            gw = np.matmul(g2, cols.swapaxes(1, 2)).sum(axis=0).reshape(wd.shape)
+        if b.requires_grad:
+            gb = g.sum(axis=(0, 2, 3))
         if x.requires_grad:
-            gcols = np.matmul(wmat.T, g2).reshape(batch, cin, kh, kw, oh, ow)
-            gxp = np.zeros_like(xp)
-            for u in range(kh):
-                for v in range(kw):
-                    gxp[:, :, u : u + s * oh : s, v : v + s * ow : s] += gcols[:, :, u, v]
-            gx = gxp[:, :, p : p + height, p : p + width]
-        return (gx, gw)
+            gcols = np.matmul(wmat.T, g2)
+            if pointwise:
+                gx = gcols.reshape(xd.shape)
+            else:
+                gcols = gcols.reshape(batch, cin, kh, kw, oh, ow)
+                gxp = np.zeros_like(xp)
+                for u in range(kh):
+                    for v in range(kw):
+                        gxp[:, :, u : u + s * oh : s, v : v + s * ow : s] += gcols[:, :, u, v]
+                gx = gxp[:, :, p : p + height, p : p + width]
+        return (gx, gw, gb)
 
-    return _node(out, (x, w), _bw)
+    return _node(out, (x, w, b), _bw)
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:

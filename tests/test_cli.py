@@ -122,6 +122,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "mismatch" in err and "seed" in err
 
+    @pytest.mark.parametrize("step", [[1], "2", True, -1, 1.5])
+    def test_resume_with_bad_step_exits_two(self, tmp_path, tiny_config, capsys, step):
+        cfg = tiny_config()
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt), "--max-steps", "1"]) == 0
+        arrays, meta = load_checkpoint(ckpt)
+        save_checkpoint(ckpt, list(arrays.items()), dict(meta, step=step))
+        code = main(["train", "--config", str(cfg), "--out", str(ckpt), "--resume", str(ckpt)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint step {json.dumps(step)} is not an integer" in err
+
     def test_missing_train_data_key_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text("{}", encoding="utf-8")

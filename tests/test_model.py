@@ -3,6 +3,7 @@ construction, and the parameter load path."""
 import numpy as np
 import pytest
 
+from heatseg.losses import LossWeights, total_loss
 from heatseg.model import ModelConfig, SegModel
 from heatseg.tensor import Tensor, softmax_axis
 
@@ -165,3 +166,20 @@ class TestParameters:
         assert all(p.data.dtype == np.float32 for p in model.parameters())
         out = model.forward(Tensor(images(seed=10).astype(np.float32)))
         assert out.logits.dtype == np.float32
+
+    @pytest.mark.parametrize("layers", [0, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_graph_stays_in_model_dtype(self, dtype, layers):
+        model = SegModel(small_config(decoder_layers=layers), seed=19, dtype=dtype)
+        out = model.forward(Tensor(images(seed=12).astype(dtype)))
+        labels = np.random.default_rng(13).integers(0, 3, size=(2, 16, 16))
+        loss, _ = total_loss(out.logits, labels, out.scores_per_layer,
+                             out.embeddings_per_layer, LossWeights())
+        seen, stack = {id(loss)}, [loss]
+        while stack:
+            node = stack.pop()
+            assert node.data.dtype == dtype, node
+            for parent in node._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)

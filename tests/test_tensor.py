@@ -149,21 +149,30 @@ class TestForward:
     def test_conv2d_matches_naive_loop(self):
         x = rand((2, 3, 6, 6), 11)
         w = rand((4, 3, 3, 3), 12)
+        b = rand((4,), 13)
         for stride, padding in ((1, 1), (2, 1), (1, 0)):
-            got = T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride, padding=padding).data
-            np.testing.assert_allclose(got, conv_naive(x, w, stride, padding), atol=1e-12)
+            got = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride=stride, padding=padding).data
+            np.testing.assert_allclose(got, conv_naive(x, w, b, stride, padding), atol=1e-12)
+        # 1x1 kernels: unstrided (the pointwise shortcut) and strided
+        w1 = rand((4, 3, 1, 1), 14)
+        for stride in (1, 2):
+            got = T.conv2d(T.Tensor(x), T.Tensor(w1), T.Tensor(b), stride=stride).data
+            np.testing.assert_allclose(got, conv_naive(x, w1, b, stride, 0), atol=1e-12)
 
     def test_conv2d_errors(self):
-        x, w = np.zeros((1, 3, 4, 4)), np.zeros((2, 3, 2, 2))
+        x, w, b = np.zeros((1, 3, 4, 4)), np.zeros((2, 3, 2, 2)), T.Tensor(np.zeros(2))
         with pytest.raises(ValueError, match="odd"):
-            T.conv2d(T.Tensor(x), T.Tensor(w))
+            T.conv2d(T.Tensor(x), T.Tensor(w), b)
         with pytest.raises(ValueError, match="channel mismatch"):
-            T.conv2d(T.Tensor(x), T.Tensor(np.zeros((2, 4, 3, 3))))
+            T.conv2d(T.Tensor(x), T.Tensor(np.zeros((2, 4, 3, 3))), b)
         with pytest.raises(ValueError, match="4-d"):
-            T.conv2d(T.Tensor(np.zeros((3, 4, 4))), T.Tensor(np.zeros((2, 3, 3, 3))))
+            T.conv2d(T.Tensor(np.zeros((3, 4, 4))), T.Tensor(np.zeros((2, 3, 3, 3))), b)
+        for bias in (np.zeros(3), np.zeros((2, 1))):
+            with pytest.raises(ValueError, match="bias"):
+                T.conv2d(T.Tensor(x), T.Tensor(np.zeros((2, 3, 3, 3))), T.Tensor(bias))
 
 
-def conv_naive(x, w, stride, padding):
+def conv_naive(x, w, bias, stride, padding):
     b, _cin, h, width = x.shape
     cout, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
@@ -175,7 +184,7 @@ def conv_naive(x, w, stride, padding):
             for i in range(oh):
                 for j in range(ow):
                     patch = xp[bi, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
-                    out[bi, oc, i, j] = float((patch * w[oc]).sum())
+                    out[bi, oc, i, j] = float((patch * w[oc]).sum()) + bias[oc]
     return out
 
 
