@@ -52,15 +52,18 @@ def save_checkpoint(path, arrays: Sequence[Tuple[str, np.ndarray]], meta: Dict) 
         offset += len(blob)
     header = {"arrays": entries, "meta": meta}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    lengths = struct.pack("<I", FORMAT_VERSION) + struct.pack("<I", len(header_bytes))
+    write_atomic(path, [MAGIC, lengths, header_bytes, *blobs])
+
+
+def write_atomic(path, chunks: Sequence[bytes]) -> None:
+    """Write ``chunks`` to a temporary file beside ``path``, fsync it, then
+    rename it over ``path``: readers see the old file or the whole new one."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", FORMAT_VERSION))
-            f.write(struct.pack("<I", len(header_bytes)))
-            f.write(header_bytes)
-            for blob in blobs:
-                f.write(blob)
+            for chunk in chunks:
+                f.write(chunk)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

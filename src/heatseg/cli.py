@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, write_atomic
 from .config import ConfigError, RunConfig, load_run_config, parse_run_config
 from .data import (
     DataError,
@@ -138,6 +138,9 @@ def cmd_train(args) -> int:
         out_path.parent.mkdir(parents=True, exist_ok=True)
     log_path = Path(str(out_path) + ".log")
 
+    if args.resume:
+        _trim_log(log_path, start_step)
+
     num_batches = math.ceil(len(samples) / cfg.batch_size)
     cached_epoch, order = -1, None
     code = 0
@@ -179,6 +182,26 @@ def cmd_train(args) -> int:
     save_checkpoint(out_path, arrays, {"config": cfg.to_dict(), "step": state.t})
     print(f"saved checkpoint at step {state.t} to {out_path}", file=sys.stderr)
     return code
+
+
+def _trim_log(log_path: Path, last_step: int) -> None:
+    """Rewrite a resumed run's log to its complete records up to ``last_step``.
+
+    A crash can leave a partial last line, and steps past the checkpoint are
+    run again; appending after either would glue or repeat records.
+    """
+    kept = []
+    if log_path.exists():
+        with open(log_path, encoding="utf-8", errors="replace") as f:
+            for line in f:
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    continue
+                step = record.get("step") if isinstance(record, dict) else None
+                if isinstance(step, int) and step <= last_step:
+                    kept.append(line.rstrip("\n") + "\n")
+    write_atomic(log_path, ["".join(kept).encode("utf-8")])
 
 
 def _model_from_checkpoint(ckpt_path):

@@ -9,7 +9,7 @@ heat weights pool a projected context vector; a scalar gate blends that
 context into the embedding.  The updated embeddings then emit per-category
 scale/shift pairs which modulate the features, and the modulated variants are
 mixed back under softmax heat weights with a residual blend toward the
-incoming features.
+incoming features (folded into the scale and shift, see ``modulate_and_fuse``).
 
 The heatmap is computed once per layer from the incoming features and
 embeddings, and both directions reuse it; the feature update reads the
@@ -19,7 +19,6 @@ gradients still flow through the selected heat values and features.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -202,14 +201,24 @@ def modulate_and_fuse(
 ) -> Tensor:
     """Mix per-category modulated features under softmax heat weights.
 
-    The category sum of soft[p, n] * (gamma_n * feats[p] + beta_n) factors into
-    feats * (soft @ gamma) + soft @ beta, which avoids a (..., P, N, c_feat)
-    intermediate.  The effective residual share is sigmoid(blend).
+    The layer's output is alpha * feats + (1 - alpha) * mixed, with
+    alpha = sigmoid(blend) the residual share and mixed[p] the category sum of
+    soft[p, n] * (gamma_n * feats[p] + beta_n).  Each softmax row sums to one,
+    so alpha * feats[p] = feats[p] * sum_n soft[p, n] * alpha, and the whole
+    output factors exactly into
+
+        feats * (soft @ (alpha + (1 - alpha) * gamma)) + soft @ ((1 - alpha) * beta).
+
+    The scalar blend thus acts on the small (..., N, c_feat) scale and shift,
+    and the (..., P, c_feat) features see one product and one sum; no
+    (..., P, N, c_feat) intermediate is formed either.
     """
     soft = softmax_axis(scores, axis=-1)
-    mixed = mul(feats, matmul(soft, gamma)) + matmul(soft, beta)
     alpha = sigmoid(blend)
-    return mul(alpha, feats) + mul(1.0 - alpha, mixed)
+    keep = 1.0 - alpha
+    scale = alpha + mul(keep, gamma)
+    shift = mul(keep, beta)
+    return mul(feats, matmul(soft, scale)) + matmul(soft, shift)
 
 
 def coupling_forward(feats: Tensor, emb: Tensor, params: CouplingParams, cfg: TopKConfig):

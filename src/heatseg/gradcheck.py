@@ -170,20 +170,21 @@ def op_checks(seed: int = 0, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL)
     ru = rng.standard_normal((1, 2, 9, 9))
     run("op.upsample_nearest", lambda: _project(T.upsample_nearest(up, 3), ru), [("x", up)])
 
-    cx, cw, cb = _leaf(rng, (2, 3, 6, 6)), _leaf(rng, (4, 3, 3, 3)), _leaf(rng, (4,))
-    rc1 = rng.standard_normal((2, 4, 6, 6))
+    # channels-last (B, H, W, C) inputs and outputs
+    cx, cw, cb = _leaf(rng, (2, 6, 6, 3)), _leaf(rng, (4, 3, 3, 3)), _leaf(rng, (4,))
+    rc1 = rng.standard_normal((2, 6, 6, 4))
     run(
         "op.conv2d_s1",
         lambda: _project(T.conv2d(cx, cw, cb, stride=1, padding=1), rc1),
         [("x", cx), ("w", cw), ("b", cb)],
     )
-    rc2 = rng.standard_normal((2, 4, 3, 3))
+    rc2 = rng.standard_normal((2, 3, 3, 4))
     run(
         "op.conv2d_s2",
         lambda: _project(T.conv2d(cx, cw, cb, stride=2, padding=1), rc2),
         [("x", cx), ("w", cw), ("b", cb)],
     )
-    # 1x1 kernels: the unstrided one takes the pointwise shortcut both ways
+    # 1x1 kernels read their (strided) input as the columns
     pw = _leaf(rng, (4, 3, 1, 1))
     run(
         "op.conv2d_1x1_s1",

@@ -1,24 +1,27 @@
 """Segmentation model: small conv encoder, coupling decode loop, linear head.
 
 The encoder is a fixed stack of 3x3 convolution + relu stages; the first
-log2(downsample_factor) stages use stride 2 and the final stage stride 1.
-Every convolution adds its bias inside ``conv2d``.  Every stage output is
-projected to c_feat by a 1x1 convolution, strided down to the aggregation scale
-H/factor x W/factor (the strided stages come first, so no stage is coarser),
-then summed into the base feature map.
+log2(downsample_factor) stages use stride 2 and the final stage stride 1.  It
+runs channels-last: the (B, 3, H, W) images are turned into (B, H, W, 3) once,
+and every activation after that is (B, h, w, C), so each convolution is one
+GEMM over all pixels of the batch and adds its bias inside ``conv2d``.  Every
+stage output is projected to c_feat by a 1x1 convolution, strided down to the
+aggregation scale H/factor x W/factor (the strided stages come first, so no
+stage is coarser), then summed into the (B, H', W', c_feat) base feature map.
 
-Decoding flattens the base map to (B, P, c_feat) pixel features, broadcasts a
-learnable, input-independent embedding table shared by all images to
-(B, N, c_class), and runs the coupling layer L times on the whole batch.  The
-head scores pixels against projected final embeddings on the coupled grid;
-those logits, like every layer's scores, are the prediction at H/factor x
-W/factor.  ``predict`` repeats their argmax over each factor x factor block.
+Decoding reshapes the base map to contiguous (B, P, c_feat) pixel features
+without a transpose, broadcasts a learnable, input-independent embedding table
+shared by all images to (B, N, c_class), and runs the coupling layer L times on
+the whole batch.  The head scores pixels against projected final embeddings
+on the coupled grid; those logits, like every layer's scores, are the
+prediction at H/factor x W/factor.  ``predict`` repeats their argmax over each
+factor x factor block.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
@@ -91,7 +94,7 @@ class ModelOutput:
     scores_per_layer: List[Tensor]       # each (B, N, H', W'), raw heat scores
     heat_per_layer: List[Tensor]         # each (B, N, H', W'), sigmoid heat
     embeddings_per_layer: List[Tensor]   # each (B, N, c_class), post-update
-    features: Tensor                     # (B, c_feat, H', W'), encoder output
+    features: Tensor                     # (B, H', W', c_feat), channels-last encoder output
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape, dtype) -> np.ndarray:
@@ -184,28 +187,32 @@ class SegModel:
         target = height // f
 
         stage_outs = []
-        # center [0, 1] inputs so the first stage sees a signed signal
-        h = 2.0 * images - 1.0
+        # center [0, 1] inputs so the first stage sees a signed signal, then
+        # go channels-last: (B, 3, H, W) -> (B, H, W, 3)
+        h = swapaxes(swapaxes(2.0 * images - 1.0, 1, 3), 1, 2)
         for (w, b), (_width, stride) in zip(self.enc_weights, self.config.stage_plan):
             h = relu(conv2d(h, w, b, stride, 1))
             stage_outs.append(h)
 
         agg = None
         for (w, b), stage in zip(self.proj_weights, stage_outs):
-            proj = conv2d(stage, w, b, stride=stage.shape[2] // target)
+            proj = conv2d(stage, w, b, stride=stage.shape[1] // target)
             agg = proj if agg is None else agg + proj
         return agg
 
     def decode(self, base: Tensor):
         """Run the coupling layers on the batch as stacked (B, P, c_feat) features.
 
+        ``base`` is the channels-last (B, H', W', c_feat) encoder output, so
+        the features are a plain C-contiguous reshape of it.
+
         Returns the final features and embeddings, then per layer the scores
         and heat as (B, N, H', W') maps and the updated (B, N, c_class)
         embeddings.
         """
-        batch, c_feat, hh, ww = base.shape
+        batch, hh, ww, c_feat = base.shape
         topk = self.config.topk()
-        feats = swapaxes(reshape(base, (batch, c_feat, hh * ww)), 1, 2)
+        feats = reshape(base, (batch, hh * ww, c_feat))
         # adding zeros broadcasts the shared table; the adjoint sums the batch back
         emb = self.embeddings + np.zeros((batch, 1, 1))
 
@@ -224,12 +231,13 @@ class SegModel:
     def output_head(self, feats: Tensor, emb: Tensor, hh: int, ww: int) -> Tensor:
         """(B, N, H', W') logits on the coupled grid from (B, P, c_feat) features."""
         queries = matmul(emb, self.head_w) + self.head_b
-        z = matmul(queries, swapaxes(feats, 1, 2))
+        # (B, P, N) scores keep the features' adjoint C-contiguous
+        z = swapaxes(matmul(feats, swapaxes(queries, 1, 2)), 1, 2)
         return reshape(z, (z.shape[0], z.shape[1], hh, ww))
 
     def forward(self, images: Tensor) -> ModelOutput:
         base = self.encoder_forward(images)
-        hh, ww = base.shape[2], base.shape[3]
+        hh, ww = base.shape[1], base.shape[2]
         feats, emb, scores_layers, heat_layers, emb_layers = self.decode(base)
         return ModelOutput(
             logits=self.output_head(feats, emb, hh, ww),

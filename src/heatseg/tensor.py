@@ -445,11 +445,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlate a (B, C, H, W) input with an (O, C, kh, kw) kernel and add the (O,) bias."""
+    """Cross-correlate a channels-last (B, H, W, C) input with an (O, C, kh, kw)
+    kernel and add the (O,) bias; the output is (B, oh, ow, O).
+
+    The input is unrolled into (B*oh*ow, kh*kw*C) columns, so the forward and
+    the weight gradient are one GEMM each over every output pixel of the batch.
+    A 1x1 unpadded kernel reads its (strided) input itself as the columns.
+    """
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ValueError("conv2d expects a 4-d input and a 4-d kernel")
-    batch, cin, height, width = xd.shape
+    batch, height, width, cin = xd.shape
     cout, ck, kh, kw = wd.shape
     if cin != ck:
         raise ValueError(f"conv2d channel mismatch: input has {cin}, kernel expects {ck}")
@@ -465,40 +471,41 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     if oh < 1 or ow < 1:
         raise ValueError(f"conv2d output extents ({oh}, {ow}) are not positive")
 
-    # a 1x1, stride-1, unpadded kernel reads the input itself as its columns
-    pointwise = kh == kw == 1 and s == 1 and p == 0
-    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
+    pointwise = kh == kw == 1 and p == 0
+    # columns run over (u, v, c), the kernel's rows likewise
+    wmat = wd.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
     if pointwise:
-        cols = xd.reshape(batch, cin, height * width)
+        cols = xd[:, ::s, ::s].reshape(-1, cin)
     else:
-        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-        cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
-        cols = cols.reshape(batch, cin * kh * kw, oh * ow)
-    wmat = wd.reshape(cout, cin * kh * kw)
-    out = np.matmul(wmat, cols).reshape(batch, cout, oh, ow)
-    out += bd.reshape(cout, 1, 1)
+        xp = np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0)))
+        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::s, ::s]
+        cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * cin)
+    # backward keeps only the padded extents; the padded copy dies here
+    padded = (batch, height + 2 * p, width + 2 * p, cin)
+    out = cols @ wmat
+    out += bd
 
     def _bw(g):
-        g2 = g.reshape(batch, cout, oh * ow)
+        g2 = g.reshape(-1, cout)
         gx = gw = gb = None
         if w.requires_grad:
-            gw = np.matmul(g2, cols.swapaxes(1, 2)).sum(axis=0).reshape(wd.shape)
+            gw = (cols.T @ g2).reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1)
         if b.requires_grad:
-            gb = g.sum(axis=(0, 2, 3))
+            gb = g2.sum(axis=0)
         if x.requires_grad:
-            gcols = np.matmul(wmat.T, g2)
-            if pointwise:
+            gcols = g2 @ wmat.T
+            if pointwise and s == 1:
                 gx = gcols.reshape(xd.shape)
             else:
-                gcols = gcols.reshape(batch, cin, kh, kw, oh, ow)
-                gxp = np.zeros_like(xp)
+                gcols = gcols.reshape(batch, oh, ow, kh, kw, cin)
+                gxp = np.zeros(padded, dtype=xd.dtype)
                 for u in range(kh):
                     for v in range(kw):
-                        gxp[:, :, u : u + s * oh : s, v : v + s * ow : s] += gcols[:, :, u, v]
-                gx = gxp[:, :, p : p + height, p : p + width]
+                        gxp[:, u : u + s * oh : s, v : v + s * ow : s] += gcols[:, :, :, u, v]
+                gx = gxp[:, p : p + height, p : p + width]
         return (gx, gw, gb)
 
-    return _node(out, (x, w, b), _bw)
+    return _node(out.reshape(batch, oh, ow, cout), (x, w, b), _bw)
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
@@ -545,19 +552,8 @@ def backward(loss: Tensor) -> None:
     """Accumulate dLoss/dLeaf on every requires_grad leaf under ``loss``."""
     if loss.data.ndim != 0:
         raise ValueError(f"backward root must be a scalar, got shape {loss.data.shape}")
-    nodes = [loss]
-    seen = {id(loss)}
-    stack = [loss]
-    while stack:
-        t = stack.pop()
-        for p in t._parents:
-            if id(p) not in seen:
-                seen.add(id(p))
-                nodes.append(p)
-                stack.append(p)
-    nodes.sort(key=lambda t: t._seq)
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.data.dtype)}
-    for t in reversed(nodes):
+    for t in reversed(ancestors_in_order(loss)):
         g = grads.pop(id(t), None)
         if g is None:
             continue

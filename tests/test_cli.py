@@ -80,6 +80,25 @@ class TestTrain:
         ]) == 0
         assert straight.read_bytes() == split.read_bytes()
 
+    def test_resume_rewrites_partial_and_stale_log_records(self, tmp_path, tiny_config):
+        cfg = tiny_config()
+        straight = tmp_path / "straight.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(straight)]) == 0
+        split = tmp_path / "split.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(split), "--max-steps", "2"]) == 0
+        log = tmp_path / "split.ckpt.log"
+        # a record past the checkpoint's step, then a line cut short by a crash
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(json.dumps({"step": 3, "lr": 0.5}) + "\n")
+            f.write('{"step": 4, "lr": 0.0')
+        assert main([
+            "train", "--config", str(cfg), "--out", str(split), "--resume", str(split),
+        ]) == 0
+        lines = log.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["step"] for line in lines] == [1, 2, 3, 4]
+        assert log.read_bytes() == (tmp_path / "straight.ckpt.log").read_bytes()
+        assert not list(tmp_path.glob("*.tmp"))
+
     @pytest.mark.parametrize("poison", ["loss", "gradient"])
     def test_divergence_keeps_last_good_state(self, tmp_path, tiny_config, capsys,
                                               monkeypatch, poison):

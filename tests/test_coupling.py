@@ -168,6 +168,37 @@ class TestPieces:
         out = modulate_and_fuse(feats, gamma, beta, scores, Tensor(np.asarray(-1.3)))
         np.testing.assert_allclose(out.data, feats.data, atol=1e-12)
 
+    def test_fuse_fold_matches_unfolded_blend(self):
+        # alpha * feats + (1 - alpha) * mixed, and its adjoints, written out in
+        # numpy; the layer folds alpha into the scale and shift instead
+        b, p, n, c = 2, 10, 3, 4
+        f, gam, bet = rand((b, p, c), 27), rand((b, n, c), 28, lo=0.1, hi=1.9), rand((b, n, c), 29)
+        sc, raw, r = rand((b, p, n), 30, lo=-2, hi=2), 0.4, rand((b, p, c), 31)
+        e = np.exp(sc - sc.max(axis=-1, keepdims=True))
+        soft = e / e.sum(axis=-1, keepdims=True)
+        alpha = 1.0 / (1.0 + np.exp(-raw))
+        mixed = f * (soft @ gam) + soft @ bet
+        ref = alpha * f + (1.0 - alpha) * mixed
+        g_mixed = (1.0 - alpha) * r
+        g_soft = (g_mixed * f) @ gam.swapaxes(1, 2) + g_mixed @ bet.swapaxes(1, 2)
+        ref_grads = {
+            "feats": alpha * r + g_mixed * (soft @ gam),
+            "gamma": soft.swapaxes(1, 2) @ (g_mixed * f),
+            "beta": soft.swapaxes(1, 2) @ g_mixed,
+            "scores": soft * (g_soft - (g_soft * soft).sum(axis=-1, keepdims=True)),
+            "blend": np.sum(r * (f - mixed)) * alpha * (1.0 - alpha),
+        }
+        leaves = {name: Tensor(a, requires_grad=True) for name, a in
+                  (("feats", f), ("gamma", gam), ("beta", bet), ("scores", sc),
+                   ("blend", np.asarray(raw)))}
+        out = modulate_and_fuse(leaves["feats"], leaves["gamma"], leaves["beta"],
+                                leaves["scores"], leaves["blend"])
+        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
+        T.reduce(T.mul(out, Tensor(r)), kind="sum").backward()
+        for name, grad in ref_grads.items():
+            assert leaves[name].grad.shape == np.shape(grad), name
+            np.testing.assert_allclose(leaves[name].grad, grad, rtol=0, atol=1e-12, err_msg=name)
+
 
 # ---------------------------------------------------------------------------
 # whole layer

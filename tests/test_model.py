@@ -3,6 +3,8 @@ construction, and the parameter load path."""
 import numpy as np
 import pytest
 
+from heatseg import model as model_module
+from heatseg.coupling import coupling_forward
 from heatseg.losses import LossWeights, total_loss
 from heatseg.model import ModelConfig, SegModel
 from heatseg.tensor import Tensor, softmax_axis
@@ -59,13 +61,34 @@ class TestForwardShapes:
         model = SegModel(small_config(), seed=0)
         out = model.forward(Tensor(images()))
         assert out.logits.shape == (2, 3, 4, 4)
-        assert out.features.shape == (2, 12, 4, 4)
+        # channels-last (B, H', W', c_feat)
+        assert out.features.shape == (2, 4, 4, 12)
         assert len(out.scores_per_layer) == 2 and len(out.heat_per_layer) == 2
         for scores, heat in zip(out.scores_per_layer, out.heat_per_layer):
             assert scores.shape == (2, 3, 4, 4) and heat.shape == (2, 3, 4, 4)
             assert np.all((heat.data > 0) & (heat.data < 1))
         for emb in out.embeddings_per_layer:
             assert emb.shape == (2, 3, 6)
+
+    def test_features_enter_coupling_contiguous(self, monkeypatch):
+        seen = []
+
+        def recording(feats, *args):
+            seen.append(feats.data)
+            return coupling_forward(feats, *args)
+
+        monkeypatch.setattr(model_module, "coupling_forward", recording)
+        SegModel(small_config(), seed=20).forward(Tensor(images()))
+        # (B, P, c_feat) with P = 4 * 4 coupled-grid pixels
+        assert seen[0].shape == (2, 16, 12) and seen[0].flags.c_contiguous
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batched_predict_equals_per_image(self, dtype):
+        # the convolutions run one GEMM over every pixel of the batch
+        model = SegModel(small_config(), seed=21, dtype=dtype)
+        x = images(batch=4, seed=14)
+        single = np.concatenate([model.predict(x[i : i + 1]) for i in range(4)])
+        np.testing.assert_array_equal(model.predict(x), single)
 
     def test_probabilities_sum_to_one(self):
         model = SegModel(small_config(), seed=1)

@@ -147,29 +147,42 @@ class TestForward:
             T.upsample_nearest(T.Tensor(a), 0)
 
     def test_conv2d_matches_naive_loop(self):
+        # conv2d is channels-last; the naive loop runs on the NCHW transpose
         x = rand((2, 3, 6, 6), 11)
         w = rand((4, 3, 3, 3), 12)
         b = rand((4,), 13)
-        for stride, padding in ((1, 1), (2, 1), (1, 0)):
-            got = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride=stride, padding=padding).data
-            np.testing.assert_allclose(got, conv_naive(x, w, b, stride, padding), atol=1e-12)
-        # 1x1 kernels: unstrided (the pointwise shortcut) and strided
         w1 = rand((4, 3, 1, 1), 14)
-        for stride in (1, 2):
-            got = T.conv2d(T.Tensor(x), T.Tensor(w1), T.Tensor(b), stride=stride).data
-            np.testing.assert_allclose(got, conv_naive(x, w1, b, stride, 0), atol=1e-12)
+        cases = [(w, 1, 1), (w, 2, 1), (w, 1, 0), (w1, 1, 0), (w1, 2, 0)]
+        for dtype, atol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            x_cl = T.Tensor(x.transpose(0, 2, 3, 1).astype(dtype))
+            for kernel, stride, padding in cases:
+                got = T.conv2d(x_cl, T.Tensor(kernel.astype(dtype)), T.Tensor(b.astype(dtype)),
+                               stride=stride, padding=padding).data
+                assert got.dtype == dtype
+                np.testing.assert_allclose(
+                    got.transpose(0, 3, 1, 2), conv_naive(x, kernel, b, stride, padding), atol=atol
+                )
 
     def test_conv2d_errors(self):
-        x, w, b = np.zeros((1, 3, 4, 4)), np.zeros((2, 3, 2, 2)), T.Tensor(np.zeros(2))
+        x, w, b = np.zeros((1, 4, 4, 3)), np.zeros((2, 3, 2, 2)), T.Tensor(np.zeros(2))
         with pytest.raises(ValueError, match="odd"):
             T.conv2d(T.Tensor(x), T.Tensor(w), b)
-        with pytest.raises(ValueError, match="channel mismatch"):
+        # channels are the input's last axis
+        with pytest.raises(ValueError, match="channel mismatch: input has 3, kernel expects 4"):
             T.conv2d(T.Tensor(x), T.Tensor(np.zeros((2, 4, 3, 3))), b)
         with pytest.raises(ValueError, match="4-d"):
             T.conv2d(T.Tensor(np.zeros((3, 4, 4))), T.Tensor(np.zeros((2, 3, 3, 3))), b)
         for bias in (np.zeros(3), np.zeros((2, 1))):
             with pytest.raises(ValueError, match="bias"):
                 T.conv2d(T.Tensor(x), T.Tensor(np.zeros((2, 3, 3, 3))), T.Tensor(bias))
+
+    def test_conv2d_backward_keeps_no_padded_copy(self):
+        x = leaf((2, 6, 6, 3), 15)
+        out = T.conv2d(x, leaf((4, 3, 3, 3), 16), leaf((4,), 17), stride=1, padding=1)
+        held = [c.cell_contents for c in out._backward_fn.__closure__]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert arrays, "the closure should hold the columns"
+        assert all(a.shape != (2, 8, 8, 3) for a in arrays)
 
 
 def conv_naive(x, w, bias, stride, padding):
