@@ -21,7 +21,6 @@ from .data import (
     DataError,
     SynthConfig,
     batches,
-    epoch_order,
     load_dataset,
     load_ppm,
     pixel_frequencies,
@@ -89,9 +88,13 @@ def cmd_train(args) -> int:
             return _fail(
                 f"sample {i} has extents {s.image.shape[1:]}, config expects {cfg.image_size}"
             )
-        if int(s.label.max()) >= cfg.num_categories:
+        bad = s.label >= cfg.num_categories
+        # the ignore index may lie outside the categories; the losses skip it
+        if cfg.ignore_index is not None:
+            bad &= s.label != cfg.ignore_index
+        if bad.any():
             return _fail(
-                f"sample {i} contains label {int(s.label.max())}, "
+                f"sample {i} contains label {int(s.label[bad].max())}, "
                 f"config allows [0, {cfg.num_categories})"
             )
 
@@ -142,17 +145,13 @@ def cmd_train(args) -> int:
         _trim_log(log_path, start_step)
 
     num_batches = math.ceil(len(samples) / cfg.batch_size)
-    cached_epoch, order = -1, None
     code = 0
     with open(log_path, "a" if args.resume else "w", encoding="utf-8") as log:
         for step in range(start_step, target):
-            epoch = step // num_batches
-            if epoch != cached_epoch:
-                order = epoch_order(len(samples), cfg.seed, True, epoch)
-                cached_epoch = epoch
-            lo = (step % num_batches) * cfg.batch_size
-            batch = [samples[i] for i in order[lo : lo + cfg.batch_size]]
-            images, labels = stack_batch(batch, dtype=cfg.dtype)
+            epoch, index = divmod(step, num_batches)
+            if index == 0 or step == start_step:
+                epoch_batches = batches(samples, cfg.batch_size, cfg.seed, True, epoch)
+            images, labels = stack_batch(epoch_batches[index], dtype=cfg.dtype)
 
             out = model.forward(Tensor(images))
             loss, parts = total_loss(

@@ -1,13 +1,17 @@
 """Flat JSON run configuration with strict key checking.
 
-Unknown keys are rejected so a misspelled weight name fails loudly instead of
-silently training with the default.  All validation problems are collected
-and reported together.
+``RunConfig`` is the schema: its fields give the keys, their defaults and
+their types, and the model and loss settings are copied out of it by field
+name.  Unknown keys are rejected so a misspelled weight name fails loudly
+instead of silently training with the default.  All validation problems are
+collected and reported together.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+import typing
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -21,38 +25,6 @@ class ConfigError(ValueError):
     def __init__(self, errors: List[str]):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
-
-
-_DEFAULTS = {
-    "seed": 0,
-    "train_data": None,
-    "num_categories": 4,
-    "image_size": 64,
-    "c_feat": 128,
-    "c_class": 64,
-    "decoder_layers": 2,
-    "encoder_widths": [32, 64],
-    "downsample_factor": 4,
-    "topk_ratio": 0.02,
-    "topk_eps": 1e-6,
-    "lambda_heatmap": 0.1,
-    "lambda_fisher": 0.1,
-    "fisher_eps": 1e-6,
-    "ignore_index": None,
-    "learning_rate": 0.8e-4,
-    "total_steps": 300,
-    "batch_size": 8,
-    "precision": "double",
-}
-
-_INT_KEYS = (
-    "seed", "num_categories", "image_size", "c_feat", "c_class",
-    "decoder_layers", "downsample_factor", "total_steps", "batch_size",
-)
-_FLOAT_KEYS = (
-    "topk_ratio", "topk_eps", "lambda_heatmap", "lambda_fisher",
-    "fisher_eps", "learning_rate",
-)
 
 
 @dataclass
@@ -78,88 +50,75 @@ class RunConfig:
     precision: str = "double"
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            num_categories=self.num_categories,
-            image_size=self.image_size,
-            c_feat=self.c_feat,
-            c_class=self.c_class,
-            decoder_layers=self.decoder_layers,
-            encoder_widths=tuple(self.encoder_widths),
-            downsample_factor=self.downsample_factor,
-            topk_ratio=self.topk_ratio,
-            topk_eps=self.topk_eps,
-        )
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            lambda_heatmap=self.lambda_heatmap,
-            lambda_fisher=self.lambda_fisher,
-            fisher_eps=self.fisher_eps,
-            ignore_index=self.ignore_index,
-        )
+        return LossWeights(**{f.name: getattr(self, f.name) for f in fields(LossWeights)})
 
     @property
     def dtype(self):
         return np.float64 if self.precision == "double" else np.float32
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "train_data": self.train_data,
-            "num_categories": self.num_categories,
-            "image_size": self.image_size,
-            "c_feat": self.c_feat,
-            "c_class": self.c_class,
-            "decoder_layers": self.decoder_layers,
-            "encoder_widths": list(self.encoder_widths),
-            "downsample_factor": self.downsample_factor,
-            "topk_ratio": self.topk_ratio,
-            "topk_eps": self.topk_eps,
-            "lambda_heatmap": self.lambda_heatmap,
-            "lambda_fisher": self.lambda_fisher,
-            "fisher_eps": self.fisher_eps,
-            "ignore_index": self.ignore_index,
-            "learning_rate": self.learning_rate,
-            "total_steps": self.total_steps,
-            "batch_size": self.batch_size,
-            "precision": self.precision,
-        }
+        return dict(asdict(self), encoder_widths=list(self.encoder_widths))
+
+
+def _is_int(v) -> bool:
+    # bool is an int subclass, but true is no count
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite_number(v) -> bool:
+    # JSON parses NaN and infinities, which fail this bound; so does an
+    # integer past the float range, which float() could not convert
+    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+
+
+def _is_widths(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(_is_int(w) and w >= 1 for w in v)
+
+
+# per field type: what a value must be, and the test for it
+_KINDS = {
+    int: ("an integer", _is_int),
+    float: ("a finite number", _is_finite_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    Tuple[int, ...]: ("a list of positive integers", _is_widths),
+}
+_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _type_error(key: str, value) -> Optional[str]:
+    hint = _TYPES[key]
+    nullable = type(None) in typing.get_args(hint)
+    if nullable:
+        if value is None:
+            return None
+        hint = typing.get_args(hint)[0]
+    what, ok = _KINDS[hint]
+    if ok(value):
+        return None
+    return f"{key!r} must be {what}{' or null' if nullable else ''}, got {value!r}"
 
 
 def parse_run_config(raw: dict, base_dir: Optional[Path] = None) -> RunConfig:
     errors: List[str] = []
-    unknown = sorted(set(raw) - set(_DEFAULTS))
+    unknown = sorted(set(raw) - set(_TYPES))
     if unknown:
         errors.append("unknown config keys: " + ", ".join(repr(k) for k in unknown))
-    merged = dict(_DEFAULTS)
-    merged.update({k: v for k, v in raw.items() if k in _DEFAULTS})
+    merged = asdict(RunConfig())
+    merged.update({k: v for k, v in raw.items() if k in _TYPES})
 
-    for key in _INT_KEYS:
-        v = merged[key]
-        if not isinstance(v, int) or isinstance(v, bool):
-            errors.append(f"{key!r} must be an integer, got {v!r}")
-    for key in _FLOAT_KEYS:
-        v = merged[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            errors.append(f"{key!r} must be a number, got {v!r}")
-        else:
-            merged[key] = float(v)
-    if merged["ignore_index"] is not None and (
-        not isinstance(merged["ignore_index"], int) or isinstance(merged["ignore_index"], bool)
-    ):
-        errors.append(f"'ignore_index' must be an integer or null, got {merged['ignore_index']!r}")
-    if merged["precision"] not in ("double", "single"):
-        errors.append(f"'precision' must be 'double' or 'single', got {merged['precision']!r}")
-    widths = merged["encoder_widths"]
-    if not isinstance(widths, (list, tuple)) or not all(
-        isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in widths
-    ):
-        errors.append(f"'encoder_widths' must be a list of positive integers, got {widths!r}")
-    else:
-        merged["encoder_widths"] = tuple(widths)
-    if merged["train_data"] is not None and not isinstance(merged["train_data"], str):
-        errors.append(f"'train_data' must be a string path, got {merged['train_data']!r}")
+    for key, value in merged.items():
+        problem = _type_error(key, value)
+        if problem:
+            errors.append(problem)
+        elif _TYPES[key] is float:
+            merged[key] = float(value)
+        elif key == "precision" and value not in ("double", "single"):
+            errors.append(f"'precision' must be 'double' or 'single', got {value!r}")
     if not errors:
+        merged["encoder_widths"] = tuple(merged["encoder_widths"])
         for key in ("total_steps", "batch_size"):
             if merged[key] < 1:
                 errors.append(f"{key!r} must be >= 1, got {merged[key]}")
@@ -179,6 +138,11 @@ def parse_run_config(raw: dict, base_dir: Optional[Path] = None) -> RunConfig:
         cfg.loss_weights()
     except ValueError as e:
         raise ConfigError([str(e)]) from None
+    # the factor is a power of two >= 2 once the model config holds
+    if cfg.image_size % cfg.downsample_factor:
+        raise ConfigError([
+            f"image_size {cfg.image_size} not divisible by factor {cfg.downsample_factor}"
+        ])
     return cfg
 
 

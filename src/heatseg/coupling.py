@@ -42,14 +42,15 @@ from .tensor import (
 class TopKConfig:
     """Region selection: keep the ``ratio`` share of pixels, at least one."""
 
-    ratio: float = 0.02
-    eps: float = 1e-6
+    ratio: float
+    eps: float
 
     def __post_init__(self):
+        # named by their RunConfig keys, which is where the values come from
         if not 0.0 < self.ratio <= 1.0:
-            raise ValueError(f"top-k ratio must be in (0, 1], got {self.ratio}")
+            raise ValueError(f"topk_ratio must be in (0, 1], got {self.ratio}")
         if self.eps <= 0.0:
-            raise ValueError("normalization eps must be positive")
+            raise ValueError(f"topk_eps must be positive, got {self.eps}")
 
     def k_for(self, pixels: int) -> int:
         # round half away from zero, then clamp to at least one pixel

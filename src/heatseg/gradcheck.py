@@ -20,9 +20,10 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
+from .config import RunConfig
 from .coupling import CouplingParams, TopKConfig, coupling_forward
-from .losses import LossWeights, total_loss
-from .model import ModelConfig, SegModel
+from .losses import total_loss
+from .model import SegModel
 from .optim import zero_grad
 from .tensor import Tensor, no_grad
 
@@ -107,10 +108,10 @@ def op_checks(seed: int = 0, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL)
 
     a, b = _leaf(rng, (3, 4)), _leaf(rng, (4,))
     r = rng.standard_normal((3, 4))
-    for kind in ("add", "sub", "mul"):
-        run(f"op.{kind}", lambda k=kind: _project(T.ew_binary(a, b, k), r), [("a", a), ("b", b)])
+    for name, op in (("add", T.add), ("sub", T.sub), ("mul", T.mul)):
+        run(f"op.{name}", lambda op=op: _project(op(a, b), r), [("a", a), ("b", b)])
     bpos = Tensor(rng.uniform(0.5, 2.0, size=(4,)), requires_grad=True)
-    run("op.div", lambda: _project(T.ew_binary(a, bpos, "div"), r), [("a", a), ("b", bpos)])
+    run("op.div", lambda: _project(T.div(a, bpos), r), [("a", a), ("b", bpos)])
 
     m1, m2 = _leaf(rng, (3, 4)), _leaf(rng, (4, 2))
     rm = rng.standard_normal((3, 2))
@@ -165,10 +166,6 @@ def op_checks(seed: int = 0, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL)
     idx = np.array([[[0, 2], [2, 4]], [[1, 1], [3, 0]]])
     rg = rng.standard_normal((2, 2, 2, 3))
     run("op.gather", lambda: _project(T.gather(gx, idx, axis=1), rg), [("x", gx)])
-
-    up = _leaf(rng, (1, 2, 3, 3))
-    ru = rng.standard_normal((1, 2, 9, 9))
-    run("op.upsample_nearest", lambda: _project(T.upsample_nearest(up, 3), ru), [("x", up)])
 
     # channels-last (B, H, W, C) inputs and outputs
     cx, cw, cb = _leaf(rng, (2, 6, 6, 3)), _leaf(rng, (4, 3, 3, 3)), _leaf(rng, (4,))
@@ -227,18 +224,11 @@ def layer_checks(seed: int = 0, eps: float = DEFAULT_EPS, tol: float = DEFAULT_T
 def model_checks(seed: int = 0, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL) -> List[CheckResult]:
     """Full objective on a 2-sample, 3-category, 16x16 batch in double precision."""
     rng = np.random.default_rng(seed + 2)
-    config = ModelConfig(
-        num_categories=3,
-        image_size=16,
-        c_feat=12,
-        c_class=6,
-        decoder_layers=2,
-        encoder_widths=(6, 8),
-    )
-    model = SegModel(config, seed=seed)
+    config = RunConfig(num_categories=3, c_feat=12, c_class=6, encoder_widths=(6, 8))
+    model = SegModel(config.model_config(), seed=seed)
     images = Tensor(rng.uniform(0.0, 1.0, size=(2, 3, 16, 16)))
     labels = rng.integers(0, 3, size=(2, 16, 16))
-    weights = LossWeights()
+    weights = config.loss_weights()
 
     def build():
         out = model.forward(images)
@@ -250,16 +240,17 @@ def model_checks(seed: int = 0, eps: float = DEFAULT_EPS, tol: float = DEFAULT_T
     return check_gradients("model", build, model.named_parameters(), eps, tol)
 
 
-def _corrupted_sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    t = np.exp(-np.abs(d))
-    out = np.where(d >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+def _corrupted(op):
+    """``op`` with its adjoint off by 1%; run_all(corrupt=True) must report a failure."""
 
-    def _bw(g):
-        # deliberately wrong scale; run_all(corrupt=True) must report a failure
-        return (g * out * (1.0 - out) * 1.01,)
+    def wrong(*args):
+        out = op(*args)
+        adjoint = out._backward_fn
+        if adjoint is not None:
+            out._backward_fn = lambda g: tuple(1.01 * pg for pg in adjoint(g))
+        return out
 
-    return T._node(out, (x,), _bw)
+    return wrong
 
 
 def run_all(
@@ -270,7 +261,7 @@ def run_all(
 ) -> List[CheckResult]:
     if corrupt:
         original = T.sigmoid
-        T.sigmoid = _corrupted_sigmoid
+        T.sigmoid = _corrupted(original)
         try:
             results = op_checks(seed, eps, tol)
         finally:

@@ -22,10 +22,12 @@ from .tensor import Tensor, exp, log, mul, reduce
 
 @dataclass
 class LossWeights:
-    lambda_heatmap: float = 0.1
-    lambda_fisher: float = 0.1
-    fisher_eps: float = 1e-6
-    ignore_index: Optional[int] = None
+    """The loss's share of ``RunConfig``; its fields carry the same names."""
+
+    lambda_heatmap: float
+    lambda_fisher: float
+    fisher_eps: float
+    ignore_index: Optional[int]
 
     def __post_init__(self):
         if self.lambda_heatmap < 0 or self.lambda_fisher < 0:
@@ -125,12 +127,8 @@ def ce_dice_loss(scores: Tensor, counts: LabelCounts, smooth: float = 1.0) -> Te
 
 
 def heatmap_loss(scores_per_layer: Sequence[Tensor], counts: LabelCounts) -> Tensor:
-    """Deep supervision: CE plus dice of each layer's raw scores on the coupled grid.
-
-    With no layers the term is a zero in the dtype of the counts.
-    """
-    if not scores_per_layer:
-        return Tensor(np.zeros((), dtype=counts.cnt.dtype))
+    """Deep supervision: CE plus dice of each layer's raw scores on the coupled
+    grid, summed over one or more layers."""
     total = None
     for scores in scores_per_layer:
         term = ce_dice_loss(scores, counts)
@@ -138,8 +136,8 @@ def heatmap_loss(scores_per_layer: Sequence[Tensor], counts: LabelCounts) -> Ten
     return total
 
 
-def fisher_loss(embeddings_per_layer: Sequence[Tensor], eps: float = 1e-6) -> Tensor:
-    """Sum over layers of within-category scatter over between-category scatter.
+def fisher_loss(embeddings_per_layer: Sequence[Tensor], eps: float) -> Tensor:
+    """Sum over one or more layers of within-category over between-category scatter.
 
     Embeddings come in as (B, N, C).  Within: mean squared distance of each
     sample's category embedding to the category mean, averaged over B * N.
@@ -150,8 +148,6 @@ def fisher_loss(embeddings_per_layer: Sequence[Tensor], eps: float = 1e-6) -> Te
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not embeddings_per_layer:
-        return Tensor(0.0)
     total = None
     for emb in embeddings_per_layer:
         if emb.ndim != 3:
@@ -182,13 +178,13 @@ def total_loss(
     """
     counts = label_counts(labels, logits, weights.ignore_index)
     main = ce_dice_loss(logits, counts)
-    heat = heatmap_loss(scores_per_layer, counts)
-    # with no layers there are no embeddings to take the dtype from, and a
-    # float64 zero would promote the whole single-precision graph
-    if embeddings_per_layer:
+    if scores_per_layer:
+        heat = heatmap_loss(scores_per_layer, counts)
         fisher = fisher_loss(embeddings_per_layer, weights.fisher_eps)
     else:
-        fisher = Tensor(np.zeros((), dtype=logits.dtype))
+        # with no layers both terms are zero, in the logits' dtype: a float64
+        # zero would promote the whole single-precision graph
+        heat = fisher = Tensor(np.zeros((), dtype=logits.dtype))
     total = main + weights.lambda_heatmap * heat + weights.lambda_fisher * fisher
     parts = {
         "l_total": total.item(),

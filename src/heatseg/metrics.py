@@ -46,12 +46,6 @@ class ConfusionMatrix:
         self.counts += np.bincount(flat, minlength=n * n).reshape(n, n)
         return self
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.num_categories != self.num_categories:
-            raise ValueError("cannot merge matrices of different sizes")
-        self.counts += other.counts
-        return self
-
 
 def summarize(cm: ConfusionMatrix) -> Dict:
     """Mean IoU, overall accuracy, mean F1 and the per-category breakdown."""

@@ -39,15 +39,16 @@ from .tensor import (
 
 @dataclass
 class ModelConfig:
+    """The model's share of ``RunConfig``; its fields carry the same names."""
+
     num_categories: int
-    image_size: int = 64
-    c_feat: int = 128
-    c_class: int = 64
-    decoder_layers: int = 2
-    encoder_widths: Tuple[int, ...] = (32, 64)
-    downsample_factor: int = 4
-    topk_ratio: float = 0.02
-    topk_eps: float = 1e-6
+    c_feat: int
+    c_class: int
+    decoder_layers: int
+    encoder_widths: Tuple[int, ...]
+    downsample_factor: int
+    topk_ratio: float
+    topk_eps: float
 
     def __post_init__(self):
         self.encoder_widths = tuple(self.encoder_widths)
@@ -68,12 +69,10 @@ class ModelConfig:
                     f"encoder_widths needs {stride2} entries for factor {f}, "
                     f"got {len(self.encoder_widths)}"
                 )
-            if self.image_size % f != 0:
-                errors.append(f"image_size {self.image_size} not divisible by factor {f}")
-        if not 0.0 < self.topk_ratio <= 1.0:
-            errors.append(f"topk_ratio must be in (0, 1], got {self.topk_ratio}")
-        if self.topk_eps <= 0:
-            errors.append("topk_eps must be positive")
+        try:
+            self.topk()
+        except ValueError as e:
+            errors.append(str(e))
         if errors:
             raise ValueError("; ".join(errors))
 
@@ -94,7 +93,6 @@ class ModelOutput:
     scores_per_layer: List[Tensor]       # each (B, N, H', W'), raw heat scores
     heat_per_layer: List[Tensor]         # each (B, N, H', W'), sigmoid heat
     embeddings_per_layer: List[Tensor]   # each (B, N, c_class), post-update
-    features: Tensor                     # (B, H', W', c_feat), channels-last encoder output
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape, dtype) -> np.ndarray:
@@ -244,7 +242,6 @@ class SegModel:
             scores_per_layer=scores_layers,
             heat_per_layer=heat_layers,
             embeddings_per_layer=emb_layers,
-            features=base,
         )
 
     def predict(self, images: np.ndarray) -> np.ndarray:

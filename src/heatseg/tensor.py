@@ -16,7 +16,7 @@ to the operand shapes.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,7 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 _SEQ = itertools.count()
 _GRAD_ENABLED = True
 
-Scalar = Union[int, float]
 BackwardFn = Callable[[np.ndarray], tuple]
 
 
@@ -55,24 +54,14 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
     def dtype(self):
         return self.data.dtype
 
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self) -> None:
         backward(self)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return reduce(self, axis=axis, kind="sum", keepdims=keepdims)
@@ -82,10 +71,6 @@ class Tensor:
 
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
-
-    @property
-    def T(self) -> "Tensor":
-        return swapaxes(self, -2, -1)
 
     def __add__(self, other):
         return add(self, _lift(other, self))
@@ -213,15 +198,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), _bw)
 
 
-_EW_KINDS = {"add": add, "sub": sub, "mul": mul, "div": div}
-
-
-def ew_binary(a: Tensor, b: Tensor, kind: str) -> Tensor:
-    if kind not in _EW_KINDS:
-        raise ValueError(f"unknown elementwise kind {kind!r}")
-    return _EW_KINDS[kind](a, b)
-
-
 # ---------------------------------------------------------------------------
 # activations and pointwise transcendentals
 
@@ -255,15 +231,6 @@ def relu(x: Tensor) -> Tensor:
         return (g * mask,)
 
     return _node(out, (x,), _bw)
-
-
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    if kind not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation kind {kind!r}")
-    return _ACTIVATIONS[kind](x)
 
 
 def exp(x: Tensor) -> Tensor:
@@ -404,7 +371,7 @@ def softmax_axis(x: Tensor, axis: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra, convolution, resampling
+# linear algebra and convolution
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -506,24 +473,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         return (gx, gw, gb)
 
     return _node(out.reshape(batch, oh, ow, cout), (x, w, b), _bw)
-
-
-def upsample_nearest(x: Tensor, factor: int) -> Tensor:
-    f = int(factor)
-    if f < 1:
-        raise ValueError(f"upsample factor must be >= 1, got {factor}")
-    d = x.data
-    if d.ndim < 2:
-        raise ValueError("upsample_nearest expects at least 2 trailing spatial axes")
-    out = d.repeat(f, axis=-2).repeat(f, axis=-1)
-    height, width = d.shape[-2], d.shape[-1]
-
-    def _bw(g):
-        lead = g.shape[:-2]
-        gr = g.reshape(*lead, height, f, width, f).sum(axis=(-3, -1))
-        return (gr,)
-
-    return _node(out, (x,), _bw)
 
 
 # ---------------------------------------------------------------------------

@@ -166,20 +166,20 @@ def test_criterion_3_discriminant_degenerate_cases():
     # a batch of identical embeddings has zero within-category scatter
     row = np.array([[1.0, -2.0], [3.0, 0.5]])
     ident = Tensor(np.stack([row, row]))
-    zero_val = fisher_loss([ident]).item()
+    zero_val = fisher_loss([ident], eps=1e-6).item()
     if zero_val != 0.0:
         problems.append(f"identical batch gave {zero_val!r}, want exact 0.0")
 
     # worked example: scatters 1 and 25 give 1 / (25 + 1e-6)
     worked = Tensor(np.array([[[0.0], [10.0]], [[2.0], [12.0]]]))
     want = 1.0 / (25.0 + 1e-6)
-    worked_err = abs(fisher_loss([worked]).item() - want)
+    worked_err = abs(fisher_loss([worked], eps=1e-6).item() - want)
     if worked_err > 1e-15:
         problems.append(f"worked example off by {worked_err:.2e}")
 
     # collapsed category means leave only the regularizer in the denominator
     collapsed = Tensor(np.array([[[1.0], [1.0]], [[3.0], [3.0]]]))
-    got = fisher_loss([collapsed]).item()
+    got = fisher_loss([collapsed], eps=1e-6).item()
     collapse_rel = abs(got - 1.0 / 1e-6) / (1.0 / 1e-6)
     if collapse_rel > 1e-12:
         problems.append(f"collapsed means off by rel {collapse_rel:.2e}")

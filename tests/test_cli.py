@@ -12,7 +12,7 @@ from heatseg import cli
 from heatseg.checkpoint import load_checkpoint, save_checkpoint
 from heatseg.cli import main
 from heatseg.config import load_run_config
-from heatseg.data import load_dataset, load_pgm, load_ppm
+from heatseg.data import load_dataset, load_pgm, load_ppm, save_dataset
 from heatseg.losses import total_loss
 from heatseg.model import SegModel
 
@@ -163,6 +163,37 @@ class TestTrain:
         cfg = tiny_config(image_size=32)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 2
         assert "extents" in capsys.readouterr().err
+
+    def test_non_finite_config_number_exits_two_and_writes_nothing(self, tmp_path,
+                                                                    tiny_config, capsys):
+        # json reads the NaN token, so the config must refuse it itself
+        cfg = tiny_config(learning_rate=float("nan"))
+        assert "NaN" in cfg.read_text(encoding="utf-8")
+        out = tmp_path / "run" / "m.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "'learning_rate' must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_labels_at_the_ignore_index_train(self, tmp_path, tiny_data_dir, tiny_config,
+                                              capsys):
+        samples = load_dataset(tiny_data_dir)
+        for s in samples:
+            s.label[:2] = 255
+        save_dataset(samples, tmp_path / "ignored")
+        cfg = tiny_config(train_data=str(tmp_path / "ignored"), ignore_index=255,
+                          total_steps=2)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
+        records = read_log(str(ckpt) + ".log")
+        assert [r["step"] for r in records] == [1, 2]
+        assert all(np.isfinite(v) for r in records for v in r.values())
+
+        # a label outside the categories that is not the ignore index still fails
+        samples[3].label[5, 5] = 7
+        save_dataset(samples, tmp_path / "stray")
+        cfg = tiny_config(train_data=str(tmp_path / "stray"), ignore_index=255)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "s.ckpt")]) == 2
+        assert "sample 3 contains label 7" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_two(self, tmp_path, tiny_config, capsys):
         cfg = tiny_config(lerning_rate=0.1)

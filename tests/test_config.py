@@ -1,10 +1,27 @@
 """Run configuration tests: defaults, strict key checking, and path handling."""
 import json
+import typing
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from heatseg.config import ConfigError, RunConfig, load_run_config, parse_run_config
+from heatseg.losses import LossWeights
+from heatseg.model import ModelConfig
+
+FLOAT_KEYS = [k for k, t in typing.get_type_hints(RunConfig).items() if t is float]
+
+# written out as a checkpoint of the earlier hand-kept schema stores it; a
+# checkpoint resumes only while its stored config round-trips unchanged
+STORED_CONFIG = {
+    "seed": 1, "train_data": "/data/train", "num_categories": 3, "image_size": 16,
+    "c_feat": 8, "c_class": 4, "decoder_layers": 1, "encoder_widths": [4, 6],
+    "downsample_factor": 4, "topk_ratio": 0.25, "topk_eps": 1e-06,
+    "lambda_heatmap": 0.1, "lambda_fisher": 0.0, "fisher_eps": 1e-06,
+    "ignore_index": 255, "learning_rate": 0.001, "total_steps": 4, "batch_size": 2,
+    "precision": "single",
+}
 
 
 class TestDefaults:
@@ -45,7 +62,7 @@ class TestValidation:
     def test_type_checks(self):
         with pytest.raises(ConfigError, match="'batch_size' must be an integer"):
             parse_run_config({"batch_size": 2.5})
-        with pytest.raises(ConfigError, match="'learning_rate' must be a number"):
+        with pytest.raises(ConfigError, match="'learning_rate' must be a finite number"):
             parse_run_config({"learning_rate": True})
         with pytest.raises(ConfigError, match="'precision'"):
             parse_run_config({"precision": "half"})
@@ -55,6 +72,19 @@ class TestValidation:
             parse_run_config({"ignore_index": "bg"})
         with pytest.raises(ConfigError, match="'train_data'"):
             parse_run_config({"train_data": 5})
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(RunConfig)])
+    @pytest.mark.parametrize("value", [{}, True])
+    def test_every_key_rejects_a_wrong_type_by_name(self, field, value):
+        # neither an object nor a bool is a valid value of any key
+        with pytest.raises(ConfigError, match=f"'{field}' must be"):
+            parse_run_config({field: value})
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+    def test_float_keys_reject_non_finite_numbers(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}' must be a finite number"):
+            parse_run_config({key: value})
 
     def test_range_checks(self):
         with pytest.raises(ConfigError, match="'total_steps'"):
@@ -101,3 +131,17 @@ class TestFiles:
         cfg = parse_run_config({"seed": 9, "c_feat": 16, "precision": "single"})
         again = parse_run_config(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
+
+    def test_stored_config_round_trips_unchanged(self):
+        again = parse_run_config(json.loads(json.dumps(STORED_CONFIG))).to_dict()
+        assert json.dumps(again) == json.dumps(STORED_CONFIG)
+
+
+class TestSchema:
+    def test_float_keys_are_read_from_the_schema(self):
+        assert FLOAT_KEYS == ["topk_ratio", "topk_eps", "lambda_heatmap", "lambda_fisher",
+                              "fisher_eps", "learning_rate"]
+
+    @pytest.mark.parametrize("part", [ModelConfig, LossWeights])
+    def test_derived_configs_take_their_fields_from_run_config(self, part):
+        assert {f.name for f in fields(part)} <= {f.name for f in fields(RunConfig)}

@@ -37,29 +37,29 @@ def rand(shape, seed=0, lo=-1.0, hi=1.0):
 
 class TestTopKConfig:
     def test_k_rounds_half_away_from_zero(self):
-        assert TopKConfig(ratio=0.02).k_for(100) == 2
-        assert TopKConfig(ratio=0.5).k_for(5) == 3
-        assert TopKConfig(ratio=0.25).k_for(10) == 3
+        assert TopKConfig(ratio=0.02, eps=1e-6).k_for(100) == 2
+        assert TopKConfig(ratio=0.5, eps=1e-6).k_for(5) == 3
+        assert TopKConfig(ratio=0.25, eps=1e-6).k_for(10) == 3
 
     def test_k_is_at_least_one_and_at_most_all(self):
-        assert TopKConfig(ratio=0.02).k_for(10) == 1
-        assert TopKConfig(ratio=1.0).k_for(7) == 7
+        assert TopKConfig(ratio=0.02, eps=1e-6).k_for(10) == 1
+        assert TopKConfig(ratio=1.0, eps=1e-6).k_for(7) == 7
 
     def test_ratio_validation(self):
         with pytest.raises(ValueError, match="ratio"):
-            TopKConfig(ratio=0.0)
+            TopKConfig(ratio=0.0, eps=1e-6)
         with pytest.raises(ValueError, match="ratio"):
-            TopKConfig(ratio=1.5)
+            TopKConfig(ratio=1.5, eps=1e-6)
         with pytest.raises(ValueError, match="eps"):
-            TopKConfig(eps=0.0)
+            TopKConfig(ratio=0.5, eps=0.0)
 
     def test_select_region_prefers_lower_index_on_ties(self):
         channel = Tensor(np.array([0.9, 0.1, 0.9, 0.5]))
-        region = select_region(channel, TopKConfig(ratio=0.5))
+        region = select_region(channel, TopKConfig(ratio=0.5, eps=1e-6))
         np.testing.assert_array_equal(region, [0, 2])
         # stacked channels along the last axis each select on their own
         rows = Tensor(np.array([[[0.9, 0.1, 0.9, 0.5], [0.2, 0.7, 0.7, 0.7]]]))
-        region = select_region(rows, TopKConfig(ratio=0.5))
+        region = select_region(rows, TopKConfig(ratio=0.5, eps=1e-6))
         np.testing.assert_array_equal(region, [[[0, 2], [1, 2]]])
 
 
@@ -86,7 +86,7 @@ class TestHeatmaps:
 
     def test_region_weights_sum_to_selected_over_total(self):
         channel = Tensor(rand((40,), 5, lo=0.01, hi=0.99))
-        region = select_region(channel, TopKConfig(ratio=0.1))
+        region = select_region(channel, TopKConfig(ratio=0.1, eps=1e-6))
         eps = 1e-6
         weights = normalize_region(channel, region, eps)
         s = float(channel.data[region].sum())
@@ -271,7 +271,7 @@ class TestFullLayer:
         p = make_params(6, 4, seed=4)
         feats = rand((40, 6), 32)
         emb = rand((3, 4), 33)
-        cfg = TopKConfig(ratio=0.2)
+        cfg = TopKConfig(ratio=0.2, eps=1e-6)
         out_a, emb_a, _, _ = coupling_forward(Tensor(feats[None]), Tensor(emb[None]), p, cfg)
         perm = np.random.default_rng(34).permutation(40)
         out_b, emb_b, _, _ = coupling_forward(
@@ -284,7 +284,7 @@ class TestFullLayer:
         p = make_params(5, 4, seed=5)
         feats = Tensor(rand((1, 25, 5), 35), requires_grad=True)
         emb = Tensor(rand((1, 3, 4), 36), requires_grad=True)
-        feats_out, emb_out, _, _ = coupling_forward(feats, emb, p, TopKConfig(ratio=0.2))
+        feats_out, emb_out, _, _ = coupling_forward(feats, emb, p, TopKConfig(ratio=0.2, eps=1e-6))
         loss = T.reduce(T.mul(feats_out, feats_out), kind="sum") + T.reduce(emb_out, kind="sum")
         loss.backward()
         for name, param in p.named("layer"):

@@ -5,22 +5,22 @@ import pytest
 
 from heatseg import model as model_module
 from heatseg.coupling import coupling_forward
-from heatseg.losses import LossWeights, total_loss
-from heatseg.model import ModelConfig, SegModel
+from heatseg.config import RunConfig
+from heatseg.losses import total_loss
+from heatseg.model import SegModel
 from heatseg.tensor import Tensor, softmax_axis
 
 
 def small_config(**overrides):
     kw = dict(
         num_categories=3,
-        image_size=16,
         c_feat=12,
         c_class=6,
         decoder_layers=2,
         encoder_widths=(6, 8),
     )
     kw.update(overrides)
-    return ModelConfig(**kw)
+    return RunConfig(**kw).model_config()
 
 
 def images(batch=2, size=16, seed=0):
@@ -34,9 +34,9 @@ class TestConfig:
 
     def test_errors_are_collected_and_joined(self):
         with pytest.raises(ValueError) as exc:
-            small_config(num_categories=1, image_size=30)
+            small_config(num_categories=1, topk_eps=0.0)
         msg = str(exc.value)
-        assert "num_categories" in msg and "not divisible" in msg
+        assert "num_categories" in msg and "topk_eps" in msg
 
     def test_width_count_must_match_factor(self):
         with pytest.raises(ValueError, match="encoder_widths"):
@@ -61,8 +61,6 @@ class TestForwardShapes:
         model = SegModel(small_config(), seed=0)
         out = model.forward(Tensor(images()))
         assert out.logits.shape == (2, 3, 4, 4)
-        # channels-last (B, H', W', c_feat)
-        assert out.features.shape == (2, 4, 4, 12)
         assert len(out.scores_per_layer) == 2 and len(out.heat_per_layer) == 2
         for scores, heat in zip(out.scores_per_layer, out.heat_per_layer):
             assert scores.shape == (2, 3, 4, 4) and heat.shape == (2, 3, 4, 4)
@@ -197,7 +195,7 @@ class TestParameters:
         out = model.forward(Tensor(images(seed=12).astype(dtype)))
         labels = np.random.default_rng(13).integers(0, 3, size=(2, 16, 16))
         loss, _ = total_loss(out.logits, labels, out.scores_per_layer,
-                             out.embeddings_per_layer, LossWeights())
+                             out.embeddings_per_layer, RunConfig().loss_weights())
         seen, stack = {id(loss)}, [loss]
         while stack:
             node = stack.pop()

@@ -1,5 +1,7 @@
 """Tensor engine tests: forward values against numpy, adjoints against
 central finite differences, and the bookkeeping rules of the graph walk."""
+import inspect
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,8 @@ def leaf(shape, seed=0, lo=-1.0, hi=1.0):
 class TestForward:
     def test_elementwise_matches_numpy(self):
         a, b = rand((3, 4), 1), rand((3, 4), 2, lo=0.5, hi=2.0)
-        for kind, ref in (("add", a + b), ("sub", a - b), ("mul", a * b), ("div", a / b)):
-            out = T.ew_binary(T.Tensor(a), T.Tensor(b), kind)
+        for op, ref in ((T.add, a + b), (T.sub, a - b), (T.mul, a * b), (T.div, a / b)):
+            out = op(T.Tensor(a), T.Tensor(b))
             np.testing.assert_array_equal(out.data, ref)
 
     def test_broadcast_trailing_axis(self):
@@ -39,10 +41,6 @@ class TestForward:
         assert (x * 0.5).dtype == np.float32
         assert (2.0 - x).dtype == np.float32
 
-    def test_unknown_elementwise_kind(self):
-        with pytest.raises(ValueError, match="unknown elementwise kind"):
-            T.ew_binary(T.Tensor(1.0), T.Tensor(1.0), "pow")
-
     def test_sigmoid_closed_form_and_saturation(self):
         x = np.array([-800.0, -2.0, 0.0, 2.0, 800.0])
         out = T.sigmoid(T.Tensor(x)).data
@@ -55,12 +53,6 @@ class TestForward:
         np.testing.assert_allclose(T.exp(T.Tensor(x)).data, np.exp(x), rtol=1e-15)
         np.testing.assert_allclose(T.log(T.Tensor(x)).data, np.log(x), rtol=1e-15)
         np.testing.assert_array_equal(T.relu(T.Tensor(x - 1.0)).data, np.maximum(x - 1.0, 0))
-
-    def test_activation_dispatch(self):
-        x = T.Tensor(np.array([0.5]))
-        np.testing.assert_array_equal(T.activation(x, "relu").data, np.array([0.5]))
-        with pytest.raises(ValueError, match="unknown activation"):
-            T.activation(x, "gelu")
 
     def test_softmax_rows_sum_to_one_and_shift_invariance(self):
         x = rand((4, 6), 4, lo=-5, hi=5)
@@ -89,7 +81,6 @@ class TestForward:
     def test_transpose_reshape_concat(self):
         a = rand((2, 3), 7)
         np.testing.assert_array_equal(T.swapaxes(T.Tensor(a), 0, 1).data, a.T)
-        np.testing.assert_array_equal(T.Tensor(a).T.data, a.T)
         c = rand((2, 3, 4), 12)
         np.testing.assert_array_equal(T.swapaxes(T.Tensor(c), -1, 0).data, c.swapaxes(-1, 0))
         np.testing.assert_array_equal(T.reshape(T.Tensor(a), (3, 2)).data, a.reshape(3, 2))
@@ -138,13 +129,6 @@ class TestForward:
             T.reduce(T.Tensor(a), axis=3)
         with pytest.raises(ValueError, match="duplicate"):
             T.reduce(T.Tensor(a), axis=(1, 1))
-
-    def test_upsample_matches_repeat(self):
-        a = rand((2, 3, 4, 4), 10)
-        out = T.upsample_nearest(T.Tensor(a), 3).data
-        np.testing.assert_array_equal(out, a.repeat(3, axis=2).repeat(3, axis=3))
-        with pytest.raises(ValueError, match="factor"):
-            T.upsample_nearest(T.Tensor(a), 0)
 
     def test_conv2d_matches_naive_loop(self):
         # conv2d is channels-last; the naive loop runs on the NCHW transpose
@@ -243,6 +227,20 @@ class TestBackward:
         failed = [r.name for r in results if not r.ok]
         assert not failed, f"finite difference mismatches: {failed}"
 
+    def test_op_checks_cover_every_op_that_records_an_adjoint(self):
+        # every public function that builds a graph node needs a row named
+        # op.<fn> (leaf rows read op.<fn>.<leaf>) or op.<fn>_<variant>
+        ops = [
+            name for name, fn in vars(T).items()
+            if inspect.isfunction(fn) and fn.__module__ == T.__name__
+            and not name.startswith("_") and "_node(" in inspect.getsource(fn)
+        ]
+        assert {"add", "div", "sigmoid", "gather", "conv2d"} <= set(ops)
+        rows = [r.name for r in op_checks(seed=0)]
+        missing = [op for op in ops
+                   if not any(row.startswith((f"op.{op}.", f"op.{op}_")) for row in rows)]
+        assert not missing, f"ops without a gradcheck row: {missing}"
+
     def test_matmul_gradient_tight_tolerance(self):
         a, b = leaf((3, 4), 1), leaf((4, 2), 2)
 
@@ -290,11 +288,11 @@ class TestBackward:
         l1, l2 = build(x)
         l1.backward()
         g1 = x.grad.copy()
-        x.zero_grad()
+        x.grad = None
         l1b, l2b = build(x)
         l2b.backward()
         g2 = x.grad.copy()
-        x.zero_grad()
+        x.grad = None
         l1c, l2c = build(x)
         (2.0 * l1c + 3.0 * l2c).backward()
         np.testing.assert_allclose(x.grad, 2.0 * g1 + 3.0 * g2, atol=1e-12)
@@ -352,10 +350,7 @@ class TestGraph:
         assert c.grad is None
         np.testing.assert_array_equal(x.grad, np.ones(2))
 
-    def test_detach_and_item(self):
-        x = leaf((1,), 17)
-        d = x.detach()
-        assert not d.requires_grad
+    def test_item(self):
         assert T.Tensor(3.5).item() == 3.5
 
     def test_tensor_promotes_integer_input(self):
