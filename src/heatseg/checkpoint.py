@@ -17,7 +17,7 @@ import json
 import math
 import os
 import struct
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -40,13 +40,10 @@ def save_checkpoint(path, arrays: Sequence[Tuple[str, np.ndarray]], meta: Dict) 
         if name in seen:
             raise CheckpointError(f"duplicate array name {name!r}")
         seen.add(name)
-        if arr.dtype == np.float64:
-            code = "<f8"
-        elif arr.dtype == np.float32:
-            code = "<f4"
-        else:
+        code = arr.dtype.str
+        if code not in _DTYPES:
             raise CheckpointError(f"array {name!r} has unsupported dtype {arr.dtype}")
-        blob = np.ascontiguousarray(arr, dtype=_DTYPES[code]).tobytes()
+        blob = np.ascontiguousarray(arr).tobytes()
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset, "dtype": code})
         blobs.append(blob)
         offset += len(blob)
@@ -126,8 +123,24 @@ def load_checkpoint(path) -> Tuple[Dict[str, np.ndarray], Dict]:
     return arrays, meta
 
 
-def _is_int(value) -> bool:
+def is_json_int(value) -> bool:
+    """Whether a parsed JSON value is an integer; bool is an int subclass, but
+    true is no count."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def copy_named(arrays: Dict[str, np.ndarray], targets: Sequence[Tuple[str, np.ndarray]]) -> None:
+    """Copy ``arrays[name]`` into the buffer of every (name, buffer) target, in
+    the buffer's dtype; a missing name or a different shape raises."""
+    for name, buf in targets:
+        if name not in arrays:
+            raise CheckpointError(f"checkpoint is missing array {name!r}")
+        src = arrays[name]
+        if src.shape != buf.shape:
+            raise CheckpointError(
+                f"checkpoint array {name!r} has shape {src.shape}, expected {buf.shape}"
+            )
+        buf[...] = src
 
 
 def _check_entry(path, i: int, entry):
@@ -142,9 +155,9 @@ def _check_entry(path, i: int, entry):
     if dtype is None:
         raise CheckpointError(f"{path}: array {name!r} has unknown dtype {code!r}")
     shape = entry.get("shape")
-    if not isinstance(shape, list) or not all(_is_int(d) and d >= 0 for d in shape):
+    if not isinstance(shape, list) or not all(is_json_int(d) and d >= 0 for d in shape):
         raise CheckpointError(f"{path}: array {name!r} shape {shape!r} is not a list of extents")
     offset = entry.get("offset")
-    if not _is_int(offset) or offset < 0:
+    if not is_json_int(offset) or offset < 0:
         raise CheckpointError(f"{path}: array {name!r} offset {offset!r} is not a non-negative integer")
     return name, dtype, tuple(shape), offset

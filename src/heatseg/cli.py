@@ -15,7 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, write_atomic
+from .checkpoint import (
+    CheckpointError,
+    copy_named,
+    is_json_int,
+    load_checkpoint,
+    save_checkpoint,
+    write_atomic,
+)
 from .config import ConfigError, RunConfig, load_run_config, parse_run_config
 from .data import (
     DataError,
@@ -68,11 +75,11 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _adam_arrays(named, state: AdamState):
-    out = []
+def _train_arrays(named, state: AdamState):
+    """(name, array) of every parameter, then of its Adam moments, as checkpoints store them."""
+    out = [(name, p.data) for name, p in named]
     for (name, _), m, v in zip(named, state.m, state.v):
-        out.append((f"adam.m.{name}", m))
-        out.append((f"adam.v.{name}", v))
+        out += [(f"adam.m.{name}", m), (f"adam.v.{name}", v)]
     return out
 
 
@@ -114,20 +121,12 @@ def cmd_train(args) -> int:
             )
             return _fail(f"resume config mismatch on keys: {', '.join(diff)}")
         start_step = meta.get("step")
-        # bool is an int subclass, but true is no step count
-        if (not isinstance(start_step, int) or isinstance(start_step, bool)
-                or not 0 <= start_step <= cfg.total_steps):
+        if not is_json_int(start_step) or not 0 <= start_step <= cfg.total_steps:
             raise CheckpointError(
                 f"{args.resume}: checkpoint step {json.dumps(start_step)} is not an "
                 f"integer in [0, {cfg.total_steps}]"
             )
-        model.load_arrays(arrays)
-        for i, (name, _) in enumerate(named):
-            for kind, buf in (("m", state.m), ("v", state.v)):
-                key = f"adam.{kind}.{name}"
-                if key not in arrays:
-                    return _fail(f"checkpoint is missing optimizer array {key!r}")
-                buf[i] = arrays[key].astype(cfg.dtype, copy=True)
+        copy_named(arrays, _train_arrays(named, state))
         state.t = start_step
 
     target = cfg.total_steps
@@ -177,8 +176,8 @@ def cmd_train(args) -> int:
                 break
             adam_step(params, [p.grad for p in params], state, lr)
 
-    arrays = [(name, p.data) for name, p in named] + _adam_arrays(named, state)
-    save_checkpoint(out_path, arrays, {"config": cfg.to_dict(), "step": state.t})
+    meta = {"config": cfg.to_dict(), "step": state.t}
+    save_checkpoint(out_path, _train_arrays(named, state), meta)
     print(f"saved checkpoint at step {state.t} to {out_path}", file=sys.stderr)
     return code
 
@@ -198,7 +197,7 @@ def _trim_log(log_path: Path, last_step: int) -> None:
                 except ValueError:
                     continue
                 step = record.get("step") if isinstance(record, dict) else None
-                if isinstance(step, int) and step <= last_step:
+                if is_json_int(step) and step <= last_step:
                     kept.append(line.rstrip("\n") + "\n")
     write_atomic(log_path, ["".join(kept).encode("utf-8")])
 
@@ -232,6 +231,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not 0.0 < args.eps < math.inf:
+        return _fail(f"--eps must be a positive finite number, got {args.eps}")
     results = run_all(seed=args.seed, eps=args.eps, corrupt=args.corrupt)
     print(format_report(results))
     return 0 if all(r.ok for r in results) else 1
@@ -239,16 +240,12 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_export_heatmaps(args) -> int:
     model, cfg = _model_from_checkpoint(args.ckpt)
-    image = load_ppm(args.image)
-    factor = cfg.downsample_factor
-    if image.shape[1] % factor or image.shape[2] % factor:
-        return _fail(f"image extents {image.shape[1:]} not divisible by {factor}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    batch = image[None].astype(cfg.dtype)
+    batch = load_ppm(args.image)[None].astype(cfg.dtype)
+    # the forward rejects extents off the factor before anything is written
     with no_grad():
         out = model.forward(Tensor(batch))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for li, heat in enumerate(out.heat_per_layer, start=1):
         for n in range(cfg.num_categories):
             channel = heat.data[0, n]

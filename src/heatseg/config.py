@@ -17,6 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .checkpoint import is_json_int
 from .losses import LossWeights
 from .model import ModelConfig
 
@@ -63,24 +64,19 @@ class RunConfig:
         return dict(asdict(self), encoder_widths=list(self.encoder_widths))
 
 
-def _is_int(v) -> bool:
-    # bool is an int subclass, but true is no count
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_finite_number(v) -> bool:
     # JSON parses NaN and infinities, which fail this bound; so does an
     # integer past the float range, which float() could not convert
-    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+    return (is_json_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
 
 
 def _is_widths(v) -> bool:
-    return isinstance(v, (list, tuple)) and all(_is_int(w) and w >= 1 for w in v)
+    return isinstance(v, (list, tuple)) and all(is_json_int(w) and w >= 1 for w in v)
 
 
 # per field type: what a value must be, and the test for it
 _KINDS = {
-    int: ("an integer", _is_int),
+    int: ("an integer", is_json_int),
     float: ("a finite number", _is_finite_number),
     str: ("a string", lambda v: isinstance(v, str)),
     Tuple[int, ...]: ("a list of positive integers", _is_widths),

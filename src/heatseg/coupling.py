@@ -57,6 +57,14 @@ class TopKConfig:
         return max(1, min(pixels, int(self.ratio * pixels + 0.5)))
 
 
+def uniform_init(rng: np.random.Generator, fan_in: int, shape, n_out: int, dtype):
+    """A weight leaf drawn uniformly from +-1/sqrt(fan_in) and a zero (n_out,) bias leaf."""
+    bound = 1.0 / np.sqrt(fan_in)
+    w = rng.uniform(-bound, bound, size=shape).astype(dtype)
+    b = np.zeros(n_out, dtype=dtype)
+    return Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+
+
 @dataclass
 class CouplingParams:
     """Learnable state of one coupling layer.
@@ -80,27 +88,18 @@ class CouplingParams:
 
     @classmethod
     def initialize(
-        cls,
-        c_feat: int,
-        c_class: int,
-        rng: np.random.Generator,
-        blend_start: float = 0.9,
-        dtype=np.float64,
+        cls, c_feat: int, c_class: int, rng: np.random.Generator, dtype=np.float64
     ) -> "CouplingParams":
         def lin(n_in, n_out):
-            bound = 1.0 / np.sqrt(n_in)
-            w = rng.uniform(-bound, bound, size=(n_in, n_out)).astype(dtype)
-            b = np.zeros(n_out, dtype=dtype)
-            return Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+            return uniform_init(rng, n_in, (n_in, n_out), n_out, dtype)
 
         w_query, b_query = lin(c_class, c_feat)
         w_context, b_context = lin(c_feat, c_class)
         w_gate, b_gate = lin(2 * c_class, 1)
         w_scale, b_scale = lin(c_class, c_feat)
         w_shift, b_shift = lin(c_class, c_feat)
-        if not 0.0 < blend_start < 1.0:
-            raise ValueError("blend_start must be strictly inside (0, 1)")
-        raw = np.log(blend_start / (1.0 - blend_start))
+        # the fusion starts by keeping 0.9 of the incoming features
+        raw = np.log(0.9 / (1.0 - 0.9))
         blend = Tensor(np.asarray(raw, dtype=dtype), requires_grad=True)
         return cls(
             w_query, b_query, w_context, b_context, w_gate, b_gate,
@@ -122,14 +121,13 @@ def class_heatmaps(feats: Tensor, emb: Tensor, w_query: Tensor, b_query: Tensor)
     return scores, sigmoid(scores)
 
 
-def select_region(heat, cfg: TopKConfig) -> np.ndarray:
+def select_region(heat: Tensor, cfg: TopKConfig) -> np.ndarray:
     """Top-K pixel indices of every heatmap channel; membership is not differentiated.
 
     ``heat`` holds one channel per row along its last (pixel) axis, so a
     (B, N, P) heatmap gives (B, N, K) indices.
     """
-    values = heat.data if isinstance(heat, Tensor) else np.asarray(heat)
-    return topk_indices(values, cfg.k_for(values.shape[-1]))
+    return topk_indices(heat.data, cfg.k_for(heat.shape[-1]))
 
 
 def normalize_region(heat: Tensor, region: np.ndarray, eps: float) -> Tensor:

@@ -99,8 +99,9 @@ class SynthConfig:
             raise ValueError(f"num_categories must be in [2, 256], got {self.num_categories}")
         if not 0 <= self.shapes_min <= self.shapes_max:
             raise ValueError("need 0 <= shapes_min <= shapes_max")
-        if self.noise < 0:
-            raise ValueError("noise amplitude must be >= 0")
+        # NaN fails both bounds
+        if not 0 <= self.noise < np.inf:
+            raise ValueError(f"noise amplitude must be a finite number >= 0, got {self.noise}")
 
 
 _BACKGROUND = (0.16, 0.17, 0.20)

@@ -28,18 +28,17 @@ from .optim import zero_grad
 from .tensor import Tensor, no_grad
 
 DEFAULT_EPS = 1e-5
-DEFAULT_TOL = 1e-4
+TOL = 1e-4
 
 
 @dataclass
 class CheckResult:
     name: str
     max_err: float
-    tol: float
 
     @property
     def ok(self) -> bool:
-        return np.isfinite(self.max_err) and self.max_err <= self.tol
+        return np.isfinite(self.max_err) and self.max_err <= TOL
 
 
 def numerical_grad(fn: Callable[[], float], t: Tensor, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -71,7 +70,6 @@ def check_gradients(
     build_loss: Callable[[], Tensor],
     leaves: Sequence[Tuple[str, Tensor]],
     eps: float = DEFAULT_EPS,
-    tol: float = DEFAULT_TOL,
 ) -> List[CheckResult]:
     """One result per leaf: analytic backward vs central differences."""
     zero_grad([t for _, t in leaves])
@@ -86,7 +84,7 @@ def check_gradients(
         analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
         numeric = numerical_grad(value, leaf, eps)
         label = f"{name}.{leaf_name}" if leaf_name else name
-        results.append(CheckResult(label, max_rel_err(analytic, numeric), tol))
+        results.append(CheckResult(label, max_rel_err(analytic, numeric)))
     return results
 
 
@@ -99,12 +97,12 @@ def _project(out: Tensor, r: np.ndarray) -> Tensor:
     return T.reduce(T.mul(out, Tensor(r)), kind="sum")
 
 
-def op_checks(seed: int = 0, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL) -> List[CheckResult]:
+def op_checks(seed: int = 0, eps: float = DEFAULT_EPS) -> List[CheckResult]:
     rng = np.random.default_rng(seed)
     results: List[CheckResult] = []
 
     def run(name, build, leaves):
-        results.extend(check_gradients(name, build, leaves, eps, tol))
+        results.extend(check_gradients(name, build, leaves, eps))
 
     a, b = _leaf(rng, (3, 4)), _leaf(rng, (4,))
     r = rng.standard_normal((3, 4))
@@ -204,7 +202,7 @@ def op_checks(seed: int = 0, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL)
     return results
 
 
-def layer_checks(seed: int = 0, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL) -> List[CheckResult]:
+def layer_checks(seed: int = 0, eps: float = DEFAULT_EPS) -> List[CheckResult]:
     rng = np.random.default_rng(seed + 1)
     batch, c_feat, c_class, n, pixels = 2, 6, 4, 3, 16
     params = CouplingParams.initialize(c_feat, c_class, rng)
@@ -218,10 +216,10 @@ def layer_checks(seed: int = 0, eps: float = DEFAULT_EPS, tol: float = DEFAULT_T
 
     leaves = [(name.split(".", 1)[1], p) for name, p in params.named("layer")]
     leaves += [("feats", feats), ("emb", emb)]
-    return check_gradients("layer", build, leaves, eps, tol)
+    return check_gradients("layer", build, leaves, eps)
 
 
-def model_checks(seed: int = 0, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL) -> List[CheckResult]:
+def model_checks(seed: int = 0, eps: float = DEFAULT_EPS) -> List[CheckResult]:
     """Full objective on a 2-sample, 3-category, 16x16 batch in double precision."""
     rng = np.random.default_rng(seed + 2)
     config = RunConfig(num_categories=3, c_feat=12, c_class=6, encoder_widths=(6, 8))
@@ -237,7 +235,7 @@ def model_checks(seed: int = 0, eps: float = DEFAULT_EPS, tol: float = DEFAULT_T
         )
         return loss
 
-    return check_gradients("model", build, model.named_parameters(), eps, tol)
+    return check_gradients("model", build, model.named_parameters(), eps)
 
 
 def _corrupted(op):
@@ -253,31 +251,23 @@ def _corrupted(op):
     return wrong
 
 
-def run_all(
-    seed: int = 0,
-    eps: float = DEFAULT_EPS,
-    tol: float = DEFAULT_TOL,
-    corrupt: bool = False,
-) -> List[CheckResult]:
+def run_all(seed: int = 0, eps: float = DEFAULT_EPS, corrupt: bool = False) -> List[CheckResult]:
     if corrupt:
         original = T.sigmoid
         T.sigmoid = _corrupted(original)
         try:
-            results = op_checks(seed, eps, tol)
+            results = op_checks(seed, eps)
         finally:
             T.sigmoid = original
         return results
-    results = op_checks(seed, eps, tol)
-    results += layer_checks(seed, eps, tol)
-    results += model_checks(seed, eps, tol)
-    return results
+    return op_checks(seed, eps) + layer_checks(seed, eps) + model_checks(seed, eps)
 
 
 def format_report(results: Sequence[CheckResult]) -> str:
     lines = []
     for r in results:
         status = "ok  " if r.ok else "FAIL"
-        lines.append(f"{status} {r.name:<34} max_rel_err={r.max_err:.3e} tol={r.tol:.1e}")
+        lines.append(f"{status} {r.name:<34} max_rel_err={r.max_err:.3e} tol={TOL:.1e}")
     failed = sum(1 for r in results if not r.ok)
     lines.append(f"{len(results) - failed}/{len(results)} gradient checks passed")
     return "\n".join(lines)

@@ -40,21 +40,16 @@ def _check_labels(labels: np.ndarray, num_categories: int, ignore_index) -> np.n
     """Validate the label map and return the scored-pixel mask."""
     if not np.issubdtype(labels.dtype, np.integer):
         raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-    valid = (labels >= 0) & (labels < num_categories)
-    if ignore_index is not None:
-        ignored = labels == ignore_index
-        if not np.all(valid | ignored):
-            bad = labels[~(valid | ignored)]
-            raise ValueError(f"label value {bad.flat[0]} outside [0, {num_categories})")
-        mask = ~ignored
+    if ignore_index is None:
+        scored = np.ones_like(labels, dtype=bool)
     else:
-        if not np.all(valid):
-            bad = labels[~valid]
-            raise ValueError(f"label value {bad.flat[0]} outside [0, {num_categories})")
-        mask = np.ones_like(labels, dtype=bool)
-    if not mask.any():
+        scored = labels != ignore_index
+    bad = scored & ((labels < 0) | (labels >= num_categories))
+    if bad.any():
+        raise ValueError(f"label value {labels[bad][0]} outside [0, {num_categories})")
+    if not scored.any():
         raise ValueError("no scored pixels: every label is the ignore index")
-    return mask
+    return scored
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,7 @@ def label_counts(labels: np.ndarray, scores: Tensor, ignore_index: Optional[int]
     return LabelCounts(cnt, cnt.sum(axis=1, keepdims=True), float(mask.sum()))
 
 
-def ce_dice_loss(scores: Tensor, counts: LabelCounts, smooth: float = 1.0) -> Tensor:
+def ce_dice_loss(scores: Tensor, counts: LabelCounts) -> Tensor:
     """Cross entropy plus soft dice of a (B, N, h, w) score map on its own grid.
 
     Equal to both losses on the scores nearest-upsampled to the label
@@ -107,7 +102,7 @@ def ce_dice_loss(scores: Tensor, counts: LabelCounts, smooth: float = 1.0) -> Te
     mass weight the softmax by the per-block category and scored-pixel
     counts.  Dice sums over the whole batch and averages over every category,
     so categories absent from both prediction mass and labels still
-    contribute through the smoothing term.  The per-pixel max is subtracted as
+    contribute through the smoothing term of 1.  The per-pixel max is subtracted as
     a constant before exponentiation; that leaves the gradients exact while
     keeping the exponentials bounded.
     """
@@ -122,7 +117,7 @@ def ce_dice_loss(scores: Tensor, counts: LabelCounts, smooth: float = 1.0) -> Te
     inter = reduce(mul(p, cnt), axis=(0, 2, 3), kind="sum")
     p_sum = reduce(mul(p, Tensor(counts.valid)), axis=(0, 2, 3), kind="sum")
     g_sum = counts.cnt.sum(axis=(0, 2, 3))
-    dice = (2.0 * inter + smooth) / (p_sum + (g_sum + smooth))
+    dice = (2.0 * inter + 1.0) / (p_sum + (g_sum + 1.0))
     return ce + (1.0 - reduce(dice, kind="mean"))
 
 
@@ -146,8 +141,6 @@ def fisher_loss(embeddings_per_layer: Sequence[Tensor], eps: float) -> Tensor:
     the mean reduction is exact (batches of 2 and 4); larger batches sit at
     the square of the unit roundoff because the accumulation order rounds.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     total = None
     for emb in embeddings_per_layer:
         if emb.ndim != 3:

@@ -25,7 +25,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .coupling import CouplingParams, TopKConfig, coupling_forward
+from .checkpoint import copy_named
+from .coupling import CouplingParams, TopKConfig, coupling_forward, uniform_init
 from .tensor import (
     Tensor,
     conv2d,
@@ -53,8 +54,9 @@ class ModelConfig:
     def __post_init__(self):
         self.encoder_widths = tuple(self.encoder_widths)
         errors = []
-        if self.num_categories < 2:
-            errors.append(f"num_categories must be >= 2, got {self.num_categories}")
+        # labels are stored as uint8
+        if not 2 <= self.num_categories <= 256:
+            errors.append(f"num_categories must be in [2, 256], got {self.num_categories}")
         if self.c_feat < 4 or self.c_class < 4:
             errors.append("c_feat and c_class must be >= 4")
         if self.decoder_layers < 0:
@@ -95,11 +97,6 @@ class ModelOutput:
     embeddings_per_layer: List[Tensor]   # each (B, N, c_class), post-update
 
 
-def _uniform(rng: np.random.Generator, fan_in: int, shape, dtype) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
 class SegModel:
     """Parameters plus forward logic; construction is deterministic in (config, seed)."""
 
@@ -111,16 +108,13 @@ class SegModel:
         self.enc_weights: List[Tuple[Tensor, Tensor]] = []
         cin = 3
         for width, _stride in config.stage_plan:
-            w = Tensor(_uniform(rng, cin * 9, (width, cin, 3, 3), dtype), requires_grad=True)
-            b = Tensor(np.zeros(width, dtype=dtype), requires_grad=True)
-            self.enc_weights.append((w, b))
+            self.enc_weights.append(uniform_init(rng, cin * 9, (width, cin, 3, 3), width, dtype))
             cin = width
 
-        self.proj_weights: List[Tuple[Tensor, Tensor]] = []
-        for width, _stride in config.stage_plan:
-            w = Tensor(_uniform(rng, width, (config.c_feat, width, 1, 1), dtype), requires_grad=True)
-            b = Tensor(np.zeros(config.c_feat, dtype=dtype), requires_grad=True)
-            self.proj_weights.append((w, b))
+        self.proj_weights: List[Tuple[Tensor, Tensor]] = [
+            uniform_init(rng, width, (config.c_feat, width, 1, 1), config.c_feat, dtype)
+            for width, _stride in config.stage_plan
+        ]
 
         # the embedding table is not a projection; a moderate fixed scale keeps
         # the query/head products responsive at small learning rates
@@ -134,11 +128,9 @@ class SegModel:
             for _ in range(config.decoder_layers)
         ]
 
-        self.head_w = Tensor(
-            _uniform(rng, config.c_class, (config.c_class, config.c_feat), dtype),
-            requires_grad=True,
+        self.head_w, self.head_b = uniform_init(
+            rng, config.c_class, (config.c_class, config.c_feat), config.c_feat, dtype
         )
-        self.head_b = Tensor(np.zeros(config.c_feat, dtype=dtype), requires_grad=True)
 
     # ----- parameter plumbing -----
 
@@ -162,16 +154,7 @@ class SegModel:
 
     def load_arrays(self, arrays: dict) -> None:
         """Copy named arrays into the parameters; shapes must match exactly."""
-        for name, param in self.named_parameters():
-            if name not in arrays:
-                raise ValueError(f"checkpoint is missing array {name!r}")
-            src = arrays[name]
-            if tuple(src.shape) != tuple(param.data.shape):
-                raise ValueError(
-                    f"checkpoint array {name!r} has shape {tuple(src.shape)}, "
-                    f"model expects {tuple(param.data.shape)}"
-                )
-            param.data = src.astype(self.dtype, copy=True)
+        copy_named(arrays, [(name, p.data) for name, p in self.named_parameters()])
 
     # ----- forward pieces -----
 

@@ -18,29 +18,30 @@ class AdamState:
         self.t = 0
 
 
+# the moment decay rates and the denominator guard
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 def adam_step(
     params: Sequence[Tensor],
     grads: Sequence[Optional[np.ndarray]],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> AdamState:
     """Apply one in-place Adam update; a missing gradient counts as zero."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params, grads and state must have matching lengths")
     state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
+    c1 = 1.0 - _BETA1 ** state.t
+    c2 = 1.0 - _BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g is None:
             g = np.zeros_like(p.data)
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
     return state
 
 

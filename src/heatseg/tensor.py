@@ -63,15 +63,6 @@ class Tensor:
     def backward(self) -> None:
         backward(self)
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce(self, axis=axis, kind="sum", keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce(self, axis=axis, kind="mean", keepdims=keepdims)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
     def __add__(self, other):
         return add(self, _lift(other, self))
 
@@ -90,15 +81,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, _lift(other, self))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other, self), self)
-
-    def __neg__(self):
-        return mul(self, _lift(-1.0, self))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -145,19 +127,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _check_broadcast(a: np.ndarray, b: np.ndarray) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ValueError(f"shapes {a.shape} and {b.shape} are not broadcastable") from None
-
-
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.data, b.data)
     out = a.data + b.data
 
     def _bw(g):
@@ -167,7 +141,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.data, b.data)
     out = a.data - b.data
 
     def _bw(g):
@@ -177,7 +150,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.data, b.data)
     out = a.data * b.data
 
     def _bw(g):
@@ -187,7 +159,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.data, b.data)
     out = a.data / b.data
 
     def _bw(g):
@@ -479,17 +450,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
 # selection (not differentiated)
 
 
-def topk_indices(values, k: int) -> np.ndarray:
+def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries along the last axis, ties toward the lower index.
 
     Leading axes are independent rows, so one call selects for every row.
     """
-    v = values.data if isinstance(values, Tensor) else np.asarray(values)
-    if v.ndim < 1:
-        raise ValueError("topk_indices expects at least a 1-d tensor")
-    if not 1 <= k <= v.shape[-1]:
-        raise ValueError(f"k={k} out of range for length {v.shape[-1]}")
-    order = np.argsort(-v, axis=-1, kind="stable")
+    if values.ndim < 1:
+        raise ValueError("topk_indices expects at least a 1-d array")
+    if not 1 <= k <= values.shape[-1]:
+        raise ValueError(f"k={k} out of range for length {values.shape[-1]}")
+    order = np.argsort(-values, axis=-1, kind="stable")
     return order[..., :k].astype(np.int64)
 
 

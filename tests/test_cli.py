@@ -12,7 +12,7 @@ from heatseg import cli
 from heatseg.checkpoint import load_checkpoint, save_checkpoint
 from heatseg.cli import main
 from heatseg.config import load_run_config
-from heatseg.data import load_dataset, load_pgm, load_ppm, save_dataset
+from heatseg.data import load_dataset, load_pgm, load_ppm, save_dataset, save_ppm
 from heatseg.losses import total_loss
 from heatseg.model import SegModel
 
@@ -43,6 +43,13 @@ class TestSynth:
         code = main(["synth", "--out", str(tmp_path / "x"), "--num", "1", "--size", "30"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_exits_two(self, tmp_path, capsys, noise):
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), "--num", "1", "--noise", noise]) == 2
+        assert "noise amplitude must be a finite number >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +94,10 @@ class TestTrain:
         split = tmp_path / "split.ckpt"
         assert main(["train", "--config", str(cfg), "--out", str(split), "--max-steps", "2"]) == 0
         log = tmp_path / "split.ckpt.log"
-        # a record past the checkpoint's step, then a line cut short by a crash
+        # a record whose step is no integer, a record past the checkpoint's
+        # step, then a line cut short by a crash
         with open(log, "a", encoding="utf-8") as f:
+            f.write(json.dumps({"step": True, "lr": 0.5}) + "\n")
             f.write(json.dumps({"step": 3, "lr": 0.5}) + "\n")
             f.write('{"step": 4, "lr": 0.0')
         assert main([
@@ -152,6 +161,26 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert f"checkpoint step {json.dumps(step)} is not an integer" in err
+
+    @pytest.mark.parametrize("damage", ["shape", "missing"])
+    def test_resume_with_bad_moment_exits_two_and_writes_nothing(self, tmp_path, tiny_config,
+                                                                 capsys, damage):
+        cfg = tiny_config()
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt), "--max-steps", "2"]) == 0
+        arrays, meta = load_checkpoint(ckpt)
+        moment = arrays.pop("adam.m.head.bias")
+        if damage == "shape":
+            arrays["adam.m.head.bias"] = np.stack([moment, moment])
+        save_checkpoint(ckpt, list(arrays.items()), meta)
+        log = tmp_path / "m.ckpt.log"
+        before = ckpt.read_bytes(), log.read_bytes()
+        code = main(["train", "--config", str(cfg), "--out", str(ckpt), "--resume", str(ckpt)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'adam.m.head.bias'" in err
+        assert ("has shape (2, 8), expected (8,)" if damage == "shape" else "missing") in err
+        assert (ckpt.read_bytes(), log.read_bytes()) == before
 
     def test_missing_train_data_key_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -253,6 +282,17 @@ def test_non_finite_checkpoint_exits_one(nan_checkpoint, tiny_data_dir, tmp_path
 
 
 class TestExportHeatmaps:
+    def test_extents_off_the_factor_exit_two_and_write_nothing(self, trained, tmp_path,
+                                                               capsys):
+        image = tmp_path / "odd.ppm"
+        save_ppm(image, np.zeros((3, 18, 18)))
+        out = tmp_path / "maps"
+        code = main(["export-heatmaps", "--ckpt", str(trained),
+                     "--image", str(image), "--out", str(out)])
+        assert code == 2
+        assert "image extents (18, 18) not divisible by 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_one_map_per_layer_and_category(self, trained, tiny_data_dir, tmp_path, capsys):
         out = tmp_path / "maps"
         image = tiny_data_dir / "images" / "img_00000.ppm"
@@ -288,6 +328,13 @@ class TestGradcheck:
     def test_corrupted_adjoint_is_detected(self, capsys):
         assert main(["gradcheck", "--corrupt"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("eps", ["0", "-1e-5", "nan", "inf"])
+    def test_eps_must_be_positive_and_finite(self, capsys, eps):
+        assert main(["gradcheck", f"--eps={eps}"]) == 2
+        captured = capsys.readouterr()
+        assert "--eps must be a positive finite number" in captured.err
+        assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="'learning_rate'"):
             parse_run_config({"learning_rate": 0.0})
 
+    def test_num_categories_bounds(self):
+        # labels are stored as uint8, so 256 categories is the most
+        assert parse_run_config({"num_categories": 256}).num_categories == 256
+        for n in (1, 257, 1000):
+            with pytest.raises(ConfigError, match=rf"num_categories must be in \[2, 256\], got {n}"):
+                parse_run_config({"num_categories": n})
+
     def test_model_level_problems_surface_as_config_errors(self):
         with pytest.raises(ConfigError, match="not divisible"):
             parse_run_config({"image_size": 30})

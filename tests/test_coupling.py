@@ -298,8 +298,6 @@ class TestFullLayer:
         assert p.w_gate.shape == (12, 1) and p.blend.shape == ()
         # raw blend is the logit of the starting residual share
         assert abs(1.0 / (1.0 + np.exp(-float(p.blend.data))) - 0.9) < 1e-12
-        with pytest.raises(ValueError, match="blend_start"):
-            CouplingParams.initialize(4, 4, np.random.default_rng(0), blend_start=1.0)
 
     def test_named_covers_all_fields(self):
         p = make_params(4, 4, seed=7)

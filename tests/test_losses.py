@@ -314,8 +314,6 @@ class TestFisher:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match=r"\(B, N, C\)"):
             fisher_loss([Tensor(np.zeros((2, 2)))], eps=1e-6)
-        with pytest.raises(ValueError, match="eps"):
-            fisher_loss([Tensor(np.zeros((2, 2, 2)))], eps=0.0)
 
 
 # ---------------------------------------------------------------------------

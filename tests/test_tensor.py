@@ -33,7 +33,8 @@ class TestForward:
         np.testing.assert_array_equal((T.Tensor(a) + T.Tensor(b)).data, a + b)
 
     def test_incompatible_shapes_raise(self):
-        with pytest.raises(ValueError, match="not broadcastable"):
+        # numpy's own error names both shapes
+        with pytest.raises(ValueError, match=r"broadcast.*\(3,4\) \(2,4\)"):
             T.add(T.Tensor(np.zeros((3, 4))), T.Tensor(np.zeros((2, 4))))
 
     def test_python_scalar_keeps_operand_dtype(self):
