@@ -35,6 +35,7 @@ from .data import (
     save_pgm,
     stack_batch,
     synth_generate,
+    to_unit,
 )
 from .gradcheck import format_report, run_all
 from .losses import total_loss
@@ -240,7 +241,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_export_heatmaps(args) -> int:
     model, cfg = _model_from_checkpoint(args.ckpt)
-    batch = load_ppm(args.image)[None].astype(cfg.dtype)
+    batch = to_unit(load_ppm(args.image)[None], cfg.dtype)
     # the forward rejects extents off the factor before anything is written
     with no_grad():
         out = model.forward(Tensor(batch))
@@ -255,8 +256,7 @@ def cmd_export_heatmaps(args) -> int:
             else:
                 scaled = np.round((channel - channel.min()) / span * 255.0).astype(np.uint8)
             save_pgm(out_dir / f"layer{li}_class{n}.pgm", scaled)
-    pred = model.predict(batch)[0].astype(np.uint8)
-    save_pgm(out_dir / "pred.pgm", pred)
+    save_pgm(out_dir / "pred.pgm", model.readout(out.logits.data)[0].astype(np.uint8))
     written = len(out.heat_per_layer) * cfg.num_categories + 1
     print(f"wrote {written} files to {out_dir}", file=sys.stderr)
     return 0

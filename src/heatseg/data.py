@@ -5,7 +5,8 @@ Every sample is generated from its own splitmix64 stream derived from
 surround it.  Images are colored axis-aligned rectangles, discs and annuli on
 a dark background; each foreground category owns one shape family and one
 palette color, later shapes overwrite earlier ones, and the whole image is
-quantized to the 8-bit grid so the PPM round trip is lossless.
+quantized to its 8-bit raster.  Samples hold that uint8 raster, as the PPM
+file does, and ``stack_batch`` scales each batch to [0, 1] in the run dtype.
 
 On disk a dataset is a directory with images/*.ppm (binary P6), masks/*.pgm
 (binary P5, raw category indices) and an index.txt manifest of
@@ -13,7 +14,7 @@ On disk a dataset is a directory with images/*.ppm (binary P6), masks/*.pgm
 """
 from __future__ import annotations
 
-import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -76,7 +77,7 @@ def sample_stream(seed: int, index: int) -> SplitMix64:
 
 @dataclass
 class SegSample:
-    image: np.ndarray  # (3, H, W) float64 in [0, 1], on the 1/255 grid
+    image: np.ndarray  # (3, H, W) uint8 raster; ``to_unit`` scales it to [0, 1]
     label: np.ndarray  # (H, W) uint8 category indices
 
 
@@ -164,7 +165,7 @@ def _generate_one(cfg: SynthConfig, index: int) -> SegSample:
     if cfg.noise > 0:
         noise = (rng.floats(3 * size * size).reshape(3, size, size) * 2.0 - 1.0) * cfg.noise
         image = np.clip(image + noise, 0.0, 1.0)
-    image = np.round(image * 255.0) / 255.0
+    image = np.round(image * 255.0).astype(np.uint8)
     return SegSample(image=image, label=label)
 
 
@@ -205,11 +206,12 @@ def pixel_frequencies(samples: Sequence[SegSample], num_categories: int) -> List
 def save_ppm(path, image: np.ndarray) -> None:
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected a (3, H, W) image, got shape {image.shape}")
+    if image.dtype != np.uint8:
+        raise ValueError(f"expected a uint8 raster, got dtype {image.dtype}")
     h, w = image.shape[1], image.shape[2]
-    raster = np.round(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(raster.transpose(1, 2, 0).tobytes())
+        f.write(image.transpose(1, 2, 0).tobytes())
 
 
 def save_pgm(path, values: np.ndarray) -> None:
@@ -226,6 +228,11 @@ def save_pgm(path, values: np.ndarray) -> None:
         f.write(arr.tobytes())
 
 
+# whitespace and comments, from '#' to the end of the line, separate header fields
+_SEPARATOR = re.compile(rb"(?:\s|#[^\r\n]*)*")
+_DIGITS = re.compile(rb"[0-9]*")
+
+
 def _parse_netpbm(path, expected_magic: bytes) -> Tuple[np.ndarray, int, int]:
     data = Path(path).read_bytes()
     if data[:2] != expected_magic:
@@ -235,11 +242,8 @@ def _parse_netpbm(path, expected_magic: bytes) -> Tuple[np.ndarray, int, int]:
     pos = 2
     fields = []
     while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(data) and data[pos : pos + 1].isdigit():
-            pos += 1
+        start = pos = _SEPARATOR.match(data, pos).end()
+        pos = _DIGITS.match(data, pos).end()
         if pos == start:
             raise DataError(f"{path}: offset {pos}: expected a decimal header field")
         fields.append(int(data[start:pos]))
@@ -263,8 +267,9 @@ def _parse_netpbm(path, expected_magic: bytes) -> Tuple[np.ndarray, int, int]:
 
 
 def load_ppm(path) -> np.ndarray:
+    """The (3, H, W) uint8 raster of a P6 file, in memory of its own."""
     flat, width, height = _parse_netpbm(path, b"P6")
-    return flat.reshape(height, width, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
+    return flat.reshape(height, width, 3).transpose(2, 0, 1).copy()
 
 
 def load_pgm(path) -> np.ndarray:
@@ -346,7 +351,16 @@ def batches(
     ]
 
 
+def to_unit(raster: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """A uint8 raster scaled to [0, 1] in ``dtype``.  In float32 each value
+    equals float64 ``k / 255`` rounded to float32: float64 has more than
+    2 * 24 + 2 mantissa bits, so rounding its quotient twice is harmless."""
+    if raster.dtype != np.uint8:
+        raise ValueError(f"expected a uint8 raster, got dtype {raster.dtype}")
+    return raster.astype(dtype) / 255
+
+
 def stack_batch(batch: Sequence[SegSample], dtype=np.float64):
-    images = np.stack([s.image for s in batch]).astype(dtype)
+    images = to_unit(np.stack([s.image for s in batch]), dtype)
     labels = np.stack([s.label for s in batch])
     return images, labels

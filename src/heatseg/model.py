@@ -227,10 +227,17 @@ class SegModel:
             embeddings_per_layer=emb_layers,
         )
 
+    def readout(self, logits: np.ndarray) -> np.ndarray:
+        """(B, H, W) category map: the argmax of the (B, N, H', W') coupled-grid
+        logits, ties resolved toward the lower index, repeated over each
+        factor x factor block."""
+        f = self.config.downsample_factor
+        return np.argmax(logits, axis=1).repeat(f, axis=1).repeat(f, axis=2)
+
     def predict(self, images: np.ndarray) -> np.ndarray:
-        """(B, H, W) category map: the argmax of the coupled-grid logits, ties
-        resolved toward the lower index, repeated over each factor x factor block."""
+        """The ``readout`` of a forward on (B, 3, H, W) images in [0, 1]."""
+        if images.dtype == np.uint8:
+            raise ValueError("predict takes images in [0, 1]; scale a raster with data.to_unit")
         with no_grad():
             out = self.forward(Tensor(images.astype(self.dtype, copy=False)))
-        f = self.config.downsample_factor
-        return np.argmax(out.logits.data, axis=1).repeat(f, axis=1).repeat(f, axis=2)
+        return self.readout(out.logits.data)

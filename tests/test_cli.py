@@ -12,7 +12,7 @@ from heatseg import cli
 from heatseg.checkpoint import load_checkpoint, save_checkpoint
 from heatseg.cli import main
 from heatseg.config import load_run_config
-from heatseg.data import load_dataset, load_pgm, load_ppm, save_dataset, save_ppm
+from heatseg.data import load_dataset, load_pgm, load_ppm, save_dataset, save_ppm, to_unit
 from heatseg.losses import total_loss
 from heatseg.model import SegModel
 
@@ -285,7 +285,7 @@ class TestExportHeatmaps:
     def test_extents_off_the_factor_exit_two_and_write_nothing(self, trained, tmp_path,
                                                                capsys):
         image = tmp_path / "odd.ppm"
-        save_ppm(image, np.zeros((3, 18, 18)))
+        save_ppm(image, np.zeros((3, 18, 18), dtype=np.uint8))
         out = tmp_path / "maps"
         code = main(["export-heatmaps", "--ckpt", str(trained),
                      "--image", str(image), "--out", str(out)])
@@ -293,12 +293,19 @@ class TestExportHeatmaps:
         assert "image extents (18, 18) not divisible by 4" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_writes_one_map_per_layer_and_category(self, trained, tiny_data_dir, tmp_path, capsys):
+    def test_writes_one_map_per_layer_and_category(self, trained, tiny_data_dir, tmp_path, capsys,
+                                                   monkeypatch):
         out = tmp_path / "maps"
         image = tiny_data_dir / "images" / "img_00000.ppm"
+        forward = cli.SegModel.forward
+        calls = []
+        monkeypatch.setattr(cli.SegModel, "forward",
+                            lambda self, x: calls.append(x.shape) or forward(self, x))
         code = main(["export-heatmaps", "--ckpt", str(trained),
                      "--image", str(image), "--out", str(out)])
         assert code == 0
+        # the heat maps and pred.pgm come from one forward
+        assert calls == [(1, 3, 16, 16)]
         names = sorted(p.name for p in out.iterdir())
         assert names == sorted(
             [f"layer1_class{n}.pgm" for n in range(3)] + ["pred.pgm"]
@@ -307,7 +314,8 @@ class TestExportHeatmaps:
         assert pred.shape == (16, 16) and pred.max() < 3
         # the same prediction eval scores
         model, _ = cli._model_from_checkpoint(trained)
-        np.testing.assert_array_equal(pred, model.predict(load_ppm(image)[None])[0])
+        images = to_unit(load_ppm(image)[None], model.dtype)
+        np.testing.assert_array_equal(pred, model.predict(images)[0])
         for n in range(3):
             # maps are spread to the full byte range unless constant
             channel = load_pgm(out / f"layer1_class{n}.pgm")

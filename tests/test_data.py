@@ -21,6 +21,7 @@ from heatseg.data import (
     save_ppm,
     stack_batch,
     synth_generate,
+    to_unit,
 )
 
 
@@ -77,11 +78,10 @@ class TestSynth:
         samples = synth_generate(SynthConfig(num_samples=4, size=16, num_categories=3, seed=0))
         assert len(samples) == 4
         for s in samples:
-            assert s.image.shape == (3, 16, 16) and s.image.dtype == np.float64
+            # the 8-bit raster a PPM file holds, one byte per channel value
+            assert s.image.shape == (3, 16, 16) and s.image.dtype == np.uint8
+            assert s.image.nbytes == 3 * 16 * 16
             assert s.label.shape == (16, 16) and s.label.dtype == np.uint8
-            assert np.all((s.image >= 0) & (s.image <= 1))
-            # every intensity sits on the 8-bit grid so saving is lossless
-            np.testing.assert_array_equal(s.image * 255.0, np.round(s.image * 255.0))
             assert s.label.max() < 3
 
     def test_generation_is_deterministic(self):
@@ -111,7 +111,7 @@ class TestSynth:
         )
         s = synth_generate(cfg)[0]
         assert (s.label == 0).all()
-        bg = np.round(np.asarray(category_color(0)) * 255.0) / 255.0
+        bg = np.round(np.asarray(category_color(0)) * 255.0).astype(np.uint8)
         np.testing.assert_array_equal(s.image, np.broadcast_to(bg[:, None, None], (3, 16, 16)))
 
     def test_config_validation(self):
@@ -140,7 +140,9 @@ class TestNetpbm:
         s = synth_generate(SynthConfig(num_samples=1, size=16, num_categories=3, seed=7))[0]
         path = tmp_path / "img.ppm"
         save_ppm(path, s.image)
-        np.testing.assert_array_equal(load_ppm(path), s.image)
+        loaded = load_ppm(path)
+        assert loaded.dtype == np.uint8
+        np.testing.assert_array_equal(loaded, s.image)
 
     def test_pgm_round_trip_is_lossless(self, tmp_path):
         values = np.random.default_rng(8).integers(0, 256, size=(12, 9), dtype=np.uint8)
@@ -150,7 +152,11 @@ class TestNetpbm:
 
     def test_save_validation(self, tmp_path):
         with pytest.raises(ValueError, match=r"\(3, H, W\)"):
-            save_ppm(tmp_path / "x.ppm", np.zeros((16, 16)))
+            save_ppm(tmp_path / "x.ppm", np.zeros((16, 16), dtype=np.uint8))
+        # a [0, 1] float image is not silently rounded onto the raster
+        with pytest.raises(ValueError, match="uint8 raster"):
+            save_ppm(tmp_path / "x.ppm", np.zeros((3, 4, 4)))
+        assert not (tmp_path / "x.ppm").exists()
         with pytest.raises(ValueError, match=r"\[0, 255\]"):
             save_pgm(tmp_path / "x.pgm", np.full((2, 2), 300))
 
@@ -172,6 +178,23 @@ class TestNetpbm:
         with pytest.raises(DataError, match="raster has 7"):
             load_pgm(path)
 
+    @pytest.mark.parametrize("header", [
+        b"P6\n# Created by GIMP version 2.10\n2 2\n255\n",
+        b"P6 #comment\n2#width\n# two\n# lines\n2 255\n",
+        b"P6\n2\t2\r\n#\r255\n",
+    ])
+    def test_header_comments_are_skipped(self, tmp_path, header):
+        raster = np.arange(12, dtype=np.uint8)
+        path = tmp_path / "c.ppm"
+        path.write_bytes(header + raster.tobytes())
+        np.testing.assert_array_equal(load_ppm(path), raster.reshape(2, 2, 3).transpose(2, 0, 1))
+
+    def test_comment_up_to_the_end_of_the_file_rejected(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5\n2 2\n# no maxval")
+        with pytest.raises(DataError, match="offset 18: expected a decimal header field"):
+            load_pgm(path)
+
     def test_junk_header_rejected(self, tmp_path):
         path = tmp_path / "junk.pgm"
         path.write_bytes(b"P5\nab cd\n255\n")
@@ -190,6 +213,9 @@ class TestDatasetIO:
         loaded = load_dataset(tmp_path / "ds")
         assert len(loaded) == 3
         for a, b in zip(samples, loaded):
+            # each raster owns its 3*H*W bytes; no file buffer stays behind it
+            assert b.image.dtype == np.uint8 and b.image.nbytes == 3 * 16 * 16
+            assert b.image.base is None and b.image.flags.c_contiguous
             np.testing.assert_array_equal(a.image, b.image)
             np.testing.assert_array_equal(a.label, b.label)
 
@@ -230,7 +256,7 @@ class TestBatching:
     def samples(self, n=7):
         return [
             SegSample(
-                image=np.full((3, 4, 4), i / 10.0),
+                image=np.full((3, 4, 4), 10 * i, dtype=np.uint8),
                 label=np.full((4, 4), i % 3, dtype=np.uint8),
             )
             for i in range(n)
@@ -266,3 +292,19 @@ class TestBatching:
         images, labels = stack_batch(self.samples(3), dtype=np.float32)
         assert images.shape == (3, 3, 4, 4) and images.dtype == np.float32
         assert labels.shape == (3, 4, 4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stack_batch_scales_every_byte_as_float64_division_does(self, dtype):
+        raster = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
+        sample = SegSample(image=np.repeat(raster, 3, axis=0), label=np.zeros((16, 16), np.uint8))
+        images, _ = stack_batch([sample], dtype=dtype)
+        # the reference rounds the float64 quotient k / 255 to the run dtype
+        expected = (sample.image[None].astype(np.float64) / 255.0).astype(dtype)
+        assert images.dtype == dtype
+        np.testing.assert_array_equal(images.view(f"u{images.itemsize}"),
+                                      expected.view(f"u{expected.itemsize}"))
+        assert images.min() == 0.0 and images.max() == 1.0
+
+    def test_to_unit_rejects_scaled_images(self):
+        with pytest.raises(ValueError, match="uint8 raster"):
+            to_unit(np.zeros((1, 3, 4, 4)))

@@ -135,6 +135,11 @@ class TestForwardShapes:
         model.head_b.data[...] = 0.0
         assert np.all(model.predict(images(seed=11)) == 0)
 
+    def test_predict_rejects_an_unscaled_raster(self):
+        model = SegModel(small_config(), seed=12)
+        with pytest.raises(ValueError, match="to_unit"):
+            model.predict(np.zeros((1, 3, 16, 16), dtype=np.uint8))
+
     def test_predict_builds_no_graph(self):
         model = SegModel(small_config(), seed=8)
         model.predict(images(seed=9))
