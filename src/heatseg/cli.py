@@ -85,6 +85,8 @@ def _train_arrays(named, state: AdamState):
 
 
 def cmd_train(args) -> int:
+    if args.max_steps is not None and args.max_steps < 0:
+        return _fail(f"--max-steps must be >= 0, got {args.max_steps}")
     cfg = load_run_config(args.config)
     if cfg.train_data is None:
         return _fail("config does not set 'train_data'")

@@ -174,7 +174,8 @@ def synth_generate(cfg: SynthConfig) -> List[SegSample]:
 
     With at least one shape per category, each foreground category must cover
     at least one pixel in 80% of the samples; overwriting by later categories
-    makes occasional dropouts legal, wholesale absence is a generator bug.
+    makes occasional dropouts legal.  Wholesale absence means the canvas is
+    too small for the categories asked for, and raises ``ValueError``.
     """
     samples = [_generate_one(cfg, i) for i in range(cfg.num_samples)]
     if cfg.shapes_min >= 1 and cfg.num_categories > 1:
@@ -186,7 +187,7 @@ def synth_generate(cfg: SynthConfig) -> List[SegSample]:
         frac = present[1:] / float(cfg.num_samples)
         if (frac < 0.8).any():
             worst = int(np.argmin(frac)) + 1
-            raise RuntimeError(
+            raise ValueError(
                 f"category {worst} present in only {frac[worst - 1]:.0%} of samples"
             )
     return samples

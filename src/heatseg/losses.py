@@ -4,6 +4,9 @@ ratio that pushes per-category embeddings apart across the batch.
 
 The prediction and the layer scores stay on the coupled grid (H/f x W/f);
 the labels come to them as per-block counts, built once per step.
+Each CE + dice term is one graph node over its scores with a closed-form
+adjoint; its per-pixel max shift is exact because log-softmax ignores a
+constant added to one pixel's scores (see ``ce_dice_loss``).
 
 The total is main + lambda_heatmap * heat term + lambda_fisher * scatter term.
 Zero-weight terms still enter the graph; multiplying by an exact 0.0 adds
@@ -17,7 +20,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, exp, log, mul, reduce
+from .tensor import Tensor, _node, mul, reduce
 
 
 @dataclass
@@ -94,31 +97,46 @@ def label_counts(labels: np.ndarray, scores: Tensor, ignore_index: Optional[int]
 
 
 def ce_dice_loss(scores: Tensor, counts: LabelCounts) -> Tensor:
-    """Cross entropy plus soft dice of a (B, N, h, w) score map on its own grid.
+    """Cross entropy plus soft dice of a (B, N, h, w) score map on its own grid,
+    as one graph node over ``scores``.
 
     Equal to both losses on the scores nearest-upsampled to the label
     resolution, since upsampling repeats one value over each block: CE is
-    -sum(cnt * log_softmax) / n_scored, and the dice overlap and prediction
-    mass weight the softmax by the per-block category and scored-pixel
-    counts.  Dice sums over the whole batch and averages over every category,
-    so categories absent from both prediction mass and labels still
-    contribute through the smoothing term of 1.  The per-pixel max is subtracted as
-    a constant before exponentiation; that leaves the gradients exact while
-    keeping the exponentials bounded.
+    -sum(cnt * log p) / n_scored for the softmax p, and dice per category is
+    (2I + 1) / D with overlap I = sum(p * cnt) and D = sum(p * valid) +
+    sum(cnt) + 1.  Dice sums over the whole batch and averages over the N
+    categories, so a category absent from both prediction and labels still
+    contributes through the smoothing term of 1.
+
+    Subtracting the per-pixel max before exponentiation bounds the
+    exponentials and is exact: log-softmax is unchanged by a constant added to
+    one pixel's scores, so neither the value nor the adjoint depends on it.
+    The adjoint is closed-form: (p * valid - cnt) / n_scored from CE, plus the
+    dice gradient gp = -(2 cnt / D - (2I + 1) valid / D^2) / N pushed through
+    the softmax Jacobian, p * (gp - sum_n p * gp).
     """
     if scores.shape != counts.cnt.shape:
         raise ValueError(f"scores {scores.shape} do not match label counts {counts.cnt.shape}")
-    cnt = Tensor(counts.cnt)
-    shifted = scores - Tensor(scores.data.max(axis=1, keepdims=True))
-    log_p = shifted - log(reduce(exp(shifted), axis=1, kind="sum", keepdims=True))
-    ce = reduce(mul(log_p, cnt), kind="sum") / -counts.n_scored
+    cnt, valid, n_scored = counts.cnt, counts.valid, counts.n_scored
+    # scalars in the scores' dtype, so single precision stays single
+    dtype = scores.dtype.type
+    shifted = scores.data - scores.data.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    ce = (log_p * cnt).sum() / dtype(-n_scored)
 
-    p = exp(log_p)
-    inter = reduce(mul(p, cnt), axis=(0, 2, 3), kind="sum")
-    p_sum = reduce(mul(p, Tensor(counts.valid)), axis=(0, 2, 3), kind="sum")
-    g_sum = counts.cnt.sum(axis=(0, 2, 3))
-    dice = (2.0 * inter + 1.0) / (p_sum + (g_sum + 1.0))
-    return ce + (1.0 - reduce(dice, kind="mean"))
+    p = np.exp(log_p)
+    inter = (p * cnt).sum(axis=(0, 2, 3))
+    den = (p * valid).sum(axis=(0, 2, 3)) + (cnt.sum(axis=(0, 2, 3)) + 1.0)
+    dice = (2.0 * inter + 1.0) / den
+    out = ce + (dtype(1.0) - dice.mean())
+
+    def _bw(g):
+        d = den[:, None, None]
+        gp = ((2.0 * inter[:, None, None] + 1.0) / d * valid - 2.0 * cnt) / (cnt.shape[1] * d)
+        gz = (p * valid - cnt) / n_scored + p * (gp - (p * gp).sum(axis=1, keepdims=True))
+        return (g * gz,)
+
+    return _node(out, (scores,), _bw)
 
 
 def heatmap_loss(scores_per_layer: Sequence[Tensor], counts: LabelCounts) -> Tensor:

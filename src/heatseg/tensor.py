@@ -82,10 +82,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, _lift(other, self))
 
-    def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
-
 
 class no_grad:
     """Disable graph recording inside a with-block (forward values only)."""
@@ -170,7 +166,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# activations and pointwise transcendentals
+# activations
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -204,24 +200,6 @@ def relu(x: Tensor) -> Tensor:
     return _node(out, (x,), _bw)
 
 
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-
-    def _bw(g):
-        return (g * out,)
-
-    return _node(out, (x,), _bw)
-
-
-def log(x: Tensor) -> Tensor:
-    out = np.log(x.data)
-
-    def _bw(g):
-        return (g / x.data,)
-
-    return _node(out, (x,), _bw)
-
-
 # ---------------------------------------------------------------------------
 # shape and structure
 
@@ -245,8 +223,6 @@ def swapaxes(x: Tensor, axis1: int, axis2: int) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    if not tensors:
-        raise ValueError("concat needs at least one tensor")
     arrays = [t.data for t in tensors]
     out = np.concatenate(arrays, axis=axis)
     sizes = [a.shape[axis] for a in arrays]
@@ -350,12 +326,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise ValueError(f"matmul expects operands of at least 2-d, got {ad.shape} and {bd.shape}")
+    # numpy checks the batch axes; the folded GEMM below would hide this mismatch
     if ad.shape[-1] != bd.shape[-2]:
         raise ValueError(f"matmul inner extents differ: {ad.shape} vs {bd.shape}")
-    try:
-        np.broadcast_shapes(ad.shape[:-2], bd.shape[:-2])
-    except ValueError:
-        raise ValueError(f"matmul batch axes of {ad.shape} and {bd.shape} differ") from None
     inner, cols = bd.shape[-2:]
     # a 2-d right operand folds the stacked left one into a single GEMM each way
     folded = bd.ndim == 2 and ad.ndim > 2

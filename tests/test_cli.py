@@ -51,6 +51,14 @@ class TestSynth:
         assert "noise amplitude must be a finite number >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_crowded_canvas_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        # 60 categories on an 8x8 canvas: later shapes overwrite most of them
+        out = tmp_path / "x"
+        code = main(["synth", "--out", str(out), "--num", "3", "--size", "8", "--classes", "60"])
+        assert code == 2
+        assert "error: category 1 present in only 0% of samples" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # train
@@ -139,6 +147,15 @@ class TestTrain:
         records = [json.loads(line, parse_constant=reject) for line in lines]
         assert [r["step"] for r in records] == [1, 2]
         assert (records[1]["l_total"] is None) == (poison == "loss")
+
+    def test_negative_max_steps_exits_two_and_writes_nothing(self, tmp_path, tiny_config,
+                                                              capsys):
+        ckpt = tmp_path / "run" / "m.ckpt"
+        code = main(["train", "--config", str(tiny_config()), "--out", str(ckpt),
+                     "--max-steps", "-1"])
+        assert code == 2
+        assert "--max-steps must be >= 0, got -1" in capsys.readouterr().err
+        assert not ckpt.parent.exists()
 
     def test_resume_with_changed_config_exits_two(self, tmp_path, tiny_config, capsys):
         ckpt = tmp_path / "m.ckpt"

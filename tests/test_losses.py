@@ -361,6 +361,8 @@ class TestTotalLoss:
 
         model_b, out_b, _ = small_forward(3)
         loss_b = ce_dice_loss(out_b.logits, label_counts(labels, out_b.logits))
+        # CE + dice is one node over the scores
+        assert loss_b._parents == (out_b.logits,)
         loss_b.backward()
 
         for (name, pa), (_, pb) in zip(

@@ -5,6 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
+from heatseg import losses
 from heatseg import tensor as T
 from heatseg.gradcheck import max_rel_err, numerical_grad, op_checks
 
@@ -51,8 +52,6 @@ class TestForward:
     def test_pointwise_reference_values(self):
         x = rand((5,), 3, lo=0.1, hi=2.0)
         np.testing.assert_allclose(T.tanh(T.Tensor(x)).data, np.tanh(x), rtol=1e-15)
-        np.testing.assert_allclose(T.exp(T.Tensor(x)).data, np.exp(x), rtol=1e-15)
-        np.testing.assert_allclose(T.log(T.Tensor(x)).data, np.log(x), rtol=1e-15)
         np.testing.assert_array_equal(T.relu(T.Tensor(x - 1.0)).data, np.maximum(x - 1.0, 0))
 
     def test_softmax_rows_sum_to_one_and_shift_invariance(self):
@@ -76,7 +75,7 @@ class TestForward:
             T.matmul(T.Tensor(np.zeros(2)), T.Tensor(np.zeros((2, 2))))
         with pytest.raises(ValueError, match="inner extents"):
             T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 2))))
-        with pytest.raises(ValueError, match="batch axes"):
+        with pytest.raises(ValueError, match="broadcast"):
             T.matmul(T.Tensor(np.zeros((2, 2, 3))), T.Tensor(np.zeros((3, 3, 2))))
 
     def test_transpose_reshape_concat(self):
@@ -232,11 +231,11 @@ class TestBackward:
         # every public function that builds a graph node needs a row named
         # op.<fn> (leaf rows read op.<fn>.<leaf>) or op.<fn>_<variant>
         ops = [
-            name for name, fn in vars(T).items()
-            if inspect.isfunction(fn) and fn.__module__ == T.__name__
+            name for module in (T, losses) for name, fn in vars(module).items()
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__
             and not name.startswith("_") and "_node(" in inspect.getsource(fn)
         ]
-        assert {"add", "div", "sigmoid", "gather", "conv2d"} <= set(ops)
+        assert {"add", "div", "sigmoid", "gather", "conv2d", "ce_dice_loss"} <= set(ops)
         rows = [r.name for r in op_checks(seed=0)]
         missing = [op for op in ops
                    if not any(row.startswith((f"op.{op}.", f"op.{op}_")) for row in rows)]
