@@ -6,10 +6,9 @@ features through class heatmaps, the surrounding model, losses, metrics, a
 deterministic synthetic dataset, and a CLI.  Every adjoint is covered by
 finite-difference checks (``heatseg gradcheck``).
 """
-from .coupling import CouplingParams, TopKConfig, coupling_forward
+from .coupling import CouplingParams, coupling_forward
 from .losses import (
     LabelCounts,
-    LossWeights,
     ce_dice_loss,
     fisher_loss,
     heatmap_loss,
@@ -26,12 +25,10 @@ __all__ = [
     "ConfusionMatrix",
     "CouplingParams",
     "LabelCounts",
-    "LossWeights",
     "ModelConfig",
     "ModelOutput",
     "SegModel",
     "Tensor",
-    "TopKConfig",
     "backward",
     "ce_dice_loss",
     "coupling_forward",

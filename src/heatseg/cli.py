@@ -23,7 +23,7 @@ from .checkpoint import (
     save_checkpoint,
     write_atomic,
 )
-from .config import ConfigError, RunConfig, load_run_config, parse_run_config
+from .config import ConfigError, load_run_config, parse_run_config
 from .data import (
     DataError,
     SynthConfig,
@@ -158,7 +158,7 @@ def cmd_train(args) -> int:
             out = model.forward(Tensor(images))
             loss, parts = total_loss(
                 out.logits, labels,
-                out.scores_per_layer, out.embeddings_per_layer, cfg.loss_weights(),
+                out.scores_per_layer, out.embeddings_per_layer, cfg,
             )
             zero_grad(params)
             loss.backward()
@@ -236,6 +236,8 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     if not 0.0 < args.eps < math.inf:
         return _fail(f"--eps must be a positive finite number, got {args.eps}")
+    if args.seed < 0:
+        return _fail(f"--seed must be >= 0, got {args.seed}")
     results = run_all(seed=args.seed, eps=args.eps, corrupt=args.corrupt)
     print(format_report(results))
     return 0 if all(r.ok for r in results) else 1

@@ -1,10 +1,12 @@
 """Flat JSON run configuration with strict key checking.
 
-``RunConfig`` is the schema: its fields give the keys, their defaults and
-their types, and the model and loss settings are copied out of it by field
-name.  Unknown keys are rejected so a misspelled weight name fails loudly
-instead of silently training with the default.  All validation problems are
-collected and reported together.
+``RunConfig`` is the schema and the one table of run settings: its fields
+give the keys, their defaults and their types.  ``ModelConfig`` copies the
+model's share out of it by field name and checks the model-level rules; every
+other consumer, the loss included, reads the ``RunConfig`` itself.  Unknown
+keys are rejected so a misspelled weight name fails loudly instead of silently
+training with the default.  Type and range problems are reported together;
+the model-level rules, collected the same way, run once those pass.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .checkpoint import is_json_int
-from .losses import LossWeights
 from .model import ModelConfig
 
 
@@ -52,9 +53,6 @@ class RunConfig:
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(**{f.name: getattr(self, f.name) for f in fields(LossWeights)})
 
     @property
     def dtype(self):
@@ -115,11 +113,15 @@ def parse_run_config(raw: dict, base_dir: Optional[Path] = None) -> RunConfig:
             errors.append(f"'precision' must be 'double' or 'single', got {value!r}")
     if not errors:
         merged["encoder_widths"] = tuple(merged["encoder_widths"])
-        for key in ("total_steps", "batch_size"):
+        for key in ("image_size", "total_steps", "batch_size"):
             if merged[key] < 1:
                 errors.append(f"{key!r} must be >= 1, got {merged[key]}")
-        if merged["learning_rate"] <= 0:
-            errors.append(f"'learning_rate' must be positive, got {merged['learning_rate']}")
+        for key in ("seed", "lambda_heatmap", "lambda_fisher"):
+            if merged[key] < 0:
+                errors.append(f"{key!r} must be >= 0, got {merged[key]}")
+        for key in ("fisher_eps", "learning_rate"):
+            if merged[key] <= 0:
+                errors.append(f"{key!r} must be positive, got {merged[key]}")
     if errors:
         raise ConfigError(errors)
 
@@ -131,7 +133,6 @@ def parse_run_config(raw: dict, base_dir: Optional[Path] = None) -> RunConfig:
     cfg = RunConfig(**merged)
     try:
         cfg.model_config()
-        cfg.loss_weights()
     except ValueError as e:
         raise ConfigError([str(e)]) from None
     # the factor is a power of two >= 2 once the model config holds

@@ -38,23 +38,10 @@ from .tensor import (
 )
 
 
-@dataclass
-class TopKConfig:
-    """Region selection: keep the ``ratio`` share of pixels, at least one."""
-
-    ratio: float
-    eps: float
-
-    def __post_init__(self):
-        # named by their RunConfig keys, which is where the values come from
-        if not 0.0 < self.ratio <= 1.0:
-            raise ValueError(f"topk_ratio must be in (0, 1], got {self.ratio}")
-        if self.eps <= 0.0:
-            raise ValueError(f"topk_eps must be positive, got {self.eps}")
-
-    def k_for(self, pixels: int) -> int:
-        # round half away from zero, then clamp to at least one pixel
-        return max(1, min(pixels, int(self.ratio * pixels + 0.5)))
+def region_size(ratio: float, pixels: int) -> int:
+    """Top-K size: the ``ratio`` share of ``pixels``, rounded half away from
+    zero and clamped to [1, pixels]."""
+    return max(1, min(pixels, int(ratio * pixels + 0.5)))
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, shape, n_out: int, dtype):
@@ -119,15 +106,6 @@ def class_heatmaps(feats: Tensor, emb: Tensor, w_query: Tensor, b_query: Tensor)
     queries = matmul(emb, w_query) + b_query
     scores = matmul(feats, swapaxes(queries, -1, -2))
     return scores, sigmoid(scores)
-
-
-def select_region(heat: Tensor, cfg: TopKConfig) -> np.ndarray:
-    """Top-K pixel indices of every heatmap channel; membership is not differentiated.
-
-    ``heat`` holds one channel per row along its last (pixel) axis, so a
-    (B, N, P) heatmap gives (B, N, K) indices.
-    """
-    return topk_indices(heat.data, cfg.k_for(heat.shape[-1]))
 
 
 def normalize_region(heat: Tensor, region: np.ndarray, eps: float) -> Tensor:
@@ -220,17 +198,19 @@ def modulate_and_fuse(
     return mul(feats, matmul(soft, scale)) + matmul(soft, shift)
 
 
-def coupling_forward(feats: Tensor, emb: Tensor, params: CouplingParams, cfg: TopKConfig):
+def coupling_forward(feats: Tensor, emb: Tensor, params: CouplingParams, ratio: float, eps: float):
     """One full layer pass; returns (feats_out, emb_out, scores, heat_rows).
 
     feats is (B, P, c_feat) and emb (B, N, c_class); scores come back as
-    (B, P, N) and the heat as (B, N, P), one row per category channel.
+    (B, P, N) and the heat as (B, N, P), one row per category channel.  Each
+    channel pools its ``region_size(ratio, P)`` hottest pixels, normalized
+    with ``eps``: the ``topk_ratio`` and ``topk_eps`` keys.
     """
     scores, heat = class_heatmaps(feats, emb, params.w_query, params.b_query)
     # one row per category channel, pixels last
     heat_rows = swapaxes(heat, -1, -2)
-    region = select_region(heat_rows, cfg)
-    weights = normalize_region(heat_rows, region, cfg.eps)
+    region = topk_indices(heat_rows.data, region_size(ratio, heat_rows.shape[-1]))
+    weights = normalize_region(heat_rows, region, eps)
     contexts = pool_context(feats, weights, region, params.w_context, params.b_context)
 
     emb_out, _ = gated_update(emb, contexts, params.w_gate, params.b_gate)

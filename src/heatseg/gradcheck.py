@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
-from .coupling import CouplingParams, TopKConfig, coupling_forward
+from .coupling import CouplingParams, coupling_forward
 from .losses import ce_dice_loss, label_counts, total_loss
 from .model import SegModel
 from .optim import zero_grad
@@ -212,10 +212,9 @@ def layer_checks(seed: int = 0, eps: float = DEFAULT_EPS) -> List[CheckResult]:
     params = CouplingParams.initialize(c_feat, c_class, rng)
     feats = _leaf(rng, (batch, pixels, c_feat))
     emb = _leaf(rng, (batch, n, c_class))
-    cfg = TopKConfig(ratio=0.2, eps=1e-6)
 
     def build():
-        f_out, e_out, _, _ = coupling_forward(feats, emb, params, cfg)
+        f_out, e_out, _, _ = coupling_forward(feats, emb, params, 0.2, 1e-6)
         return T.reduce(f_out, kind="sum") + T.reduce(e_out, kind="sum")
 
     leaves = [(name.split(".", 1)[1], p) for name, p in params.named("layer")]
@@ -230,12 +229,11 @@ def model_checks(seed: int = 0, eps: float = DEFAULT_EPS) -> List[CheckResult]:
     model = SegModel(config.model_config(), seed=seed)
     images = Tensor(rng.uniform(0.0, 1.0, size=(2, 3, 16, 16)))
     labels = rng.integers(0, 3, size=(2, 16, 16))
-    weights = config.loss_weights()
 
     def build():
         out = model.forward(images)
         loss, _ = total_loss(
-            out.logits, labels, out.scores_per_layer, out.embeddings_per_layer, weights
+            out.logits, labels, out.scores_per_layer, out.embeddings_per_layer, config
         )
         return loss
 

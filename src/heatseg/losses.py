@@ -20,23 +20,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import RunConfig
 from .tensor import Tensor, _node, mul, reduce
-
-
-@dataclass
-class LossWeights:
-    """The loss's share of ``RunConfig``; its fields carry the same names."""
-
-    lambda_heatmap: float
-    lambda_fisher: float
-    fisher_eps: float
-    ignore_index: Optional[int]
-
-    def __post_init__(self):
-        if self.lambda_heatmap < 0 or self.lambda_fisher < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.fisher_eps <= 0:
-            raise ValueError("fisher_eps must be positive")
 
 
 def _check_labels(labels: np.ndarray, num_categories: int, ignore_index) -> np.ndarray:
@@ -180,23 +165,26 @@ def total_loss(
     labels: np.ndarray,
     scores_per_layer: Sequence[Tensor],
     embeddings_per_layer: Sequence[Tensor],
-    weights: LossWeights,
+    cfg: RunConfig,
 ) -> Tuple[Tensor, Dict[str, float]]:
     """Combined objective and a float breakdown for logging.
 
-    ``logits`` and every layer's scores share the coupled grid, so the label
-    counts are built once and serve every CE + dice term.
+    The run config supplies the loss keys: ``ignore_index`` marks unscored
+    pixels, ``lambda_heatmap`` and ``lambda_fisher`` weight the two auxiliary
+    terms, and ``fisher_eps`` guards the scatter ratio.  ``logits`` and every
+    layer's scores share the coupled grid, so the label counts are built once
+    and serve every CE + dice term.
     """
-    counts = label_counts(labels, logits, weights.ignore_index)
+    counts = label_counts(labels, logits, cfg.ignore_index)
     main = ce_dice_loss(logits, counts)
     if scores_per_layer:
         heat = heatmap_loss(scores_per_layer, counts)
-        fisher = fisher_loss(embeddings_per_layer, weights.fisher_eps)
+        fisher = fisher_loss(embeddings_per_layer, cfg.fisher_eps)
     else:
         # with no layers both terms are zero, in the logits' dtype: a float64
         # zero would promote the whole single-precision graph
         heat = fisher = Tensor(np.zeros((), dtype=logits.dtype))
-    total = main + weights.lambda_heatmap * heat + weights.lambda_fisher * fisher
+    total = main + cfg.lambda_heatmap * heat + cfg.lambda_fisher * fisher
     parts = {
         "l_total": total.item(),
         "l_main": main.item(),

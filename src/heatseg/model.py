@@ -26,7 +26,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .checkpoint import copy_named
-from .coupling import CouplingParams, TopKConfig, coupling_forward, uniform_init
+from .coupling import CouplingParams, coupling_forward, uniform_init
 from .tensor import (
     Tensor,
     conv2d,
@@ -71,10 +71,10 @@ class ModelConfig:
                     f"encoder_widths needs {stride2} entries for factor {f}, "
                     f"got {len(self.encoder_widths)}"
                 )
-        try:
-            self.topk()
-        except ValueError as e:
-            errors.append(str(e))
+        if not 0.0 < self.topk_ratio <= 1.0:
+            errors.append(f"topk_ratio must be in (0, 1], got {self.topk_ratio}")
+        if self.topk_eps <= 0.0:
+            errors.append(f"topk_eps must be positive, got {self.topk_eps}")
         if errors:
             raise ValueError("; ".join(errors))
 
@@ -84,9 +84,6 @@ class ModelConfig:
         plan = [(w, 2) for w in self.encoder_widths]
         plan.append((self.c_feat, 1))
         return plan
-
-    def topk(self) -> TopKConfig:
-        return TopKConfig(ratio=self.topk_ratio, eps=self.topk_eps)
 
 
 @dataclass
@@ -149,9 +146,6 @@ class SegModel:
         out.append(("head.bias", self.head_b))
         return out
 
-    def parameters(self) -> List[Tensor]:
-        return [p for _, p in self.named_parameters()]
-
     def load_arrays(self, arrays: dict) -> None:
         """Copy named arrays into the parameters; shapes must match exactly."""
         copy_named(arrays, [(name, p.data) for name, p in self.named_parameters()])
@@ -192,7 +186,7 @@ class SegModel:
         embeddings.
         """
         batch, hh, ww, c_feat = base.shape
-        topk = self.config.topk()
+        ratio, eps = self.config.topk_ratio, self.config.topk_eps
         feats = reshape(base, (batch, hh * ww, c_feat))
         # adding zeros broadcasts the shared table; the adjoint sums the batch back
         emb = self.embeddings + np.zeros((batch, 1, 1))
@@ -203,7 +197,7 @@ class SegModel:
         emb_layers: List[Tensor] = []
         for layer in self.layers:
             # scores come as (B, P, N), the heat already as (B, N, P) rows
-            feats, emb, scores, heat = coupling_forward(feats, emb, layer, topk)
+            feats, emb, scores, heat = coupling_forward(feats, emb, layer, ratio, eps)
             scores_layers.append(reshape(swapaxes(scores, 1, 2), maps))
             heat_layers.append(reshape(heat, maps))
             emb_layers.append(emb)

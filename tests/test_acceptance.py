@@ -16,18 +16,17 @@ from heatseg.cli import main
 from heatseg.config import parse_run_config
 from heatseg.coupling import (
     CouplingParams,
-    TopKConfig,
     affine_params,
     coupling_forward,
     gated_update,
     normalize_region,
-    select_region,
+    region_size,
 )
 from heatseg.data import SynthConfig, load_dataset, save_dataset, synth_generate
 from heatseg.gradcheck import run_all
 from heatseg.losses import fisher_loss
 from heatseg.metrics import ConfusionMatrix, summarize
-from heatseg.tensor import Tensor, softmax_axis
+from heatseg.tensor import Tensor, softmax_axis, topk_indices
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -97,12 +96,12 @@ def test_criterion_2_forward_invariants():
     problems = []
 
     # selected region weights sum to s / (s + eps)
-    cfg = TopKConfig(ratio=0.25, eps=1e-6)
+    ratio, eps = 0.25, 1e-6
     heat_channel = Tensor(rng.uniform(0.05, 0.95, size=64))
-    region = select_region(heat_channel, cfg)
-    weights = normalize_region(heat_channel, region, cfg.eps)
+    region = topk_indices(heat_channel.data, region_size(ratio, 64))
+    weights = normalize_region(heat_channel, region, eps)
     s = float(heat_channel.data[region].sum())
-    region_err = abs(float(weights.data.sum()) - s / (s + cfg.eps))
+    region_err = abs(float(weights.data.sum()) - s / (s + eps))
     if region_err > 1e-12:
         problems.append(f"region weight sum off by {region_err:.2e}")
 
@@ -118,7 +117,7 @@ def test_criterion_2_forward_invariants():
     params.blend.data[...] = 40.0
     feats = Tensor(rng.normal(size=(16, 8)))
     emb = Tensor(rng.normal(size=(3, 4)))
-    out, _, _, _ = coupling_forward(feats, emb, params, cfg)
+    out, _, _, _ = coupling_forward(feats, emb, params, ratio, eps)
     passthrough_err = float(np.abs(out.data - feats.data).max())
     if passthrough_err > 1e-12:
         problems.append(f"saturated blend leaks {passthrough_err:.2e}")

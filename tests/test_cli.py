@@ -361,6 +361,12 @@ class TestGradcheck:
         assert "--eps must be a positive finite number" in captured.err
         assert captured.out == ""
 
+    def test_negative_seed_exits_two(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""
+
 
 # ---------------------------------------------------------------------------
 # parser level

@@ -1,4 +1,5 @@
 """Run configuration tests: defaults, strict key checking, and path handling."""
+import dataclasses
 import json
 import typing
 from dataclasses import fields
@@ -6,8 +7,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from heatseg import coupling, losses, model
 from heatseg.config import ConfigError, RunConfig, load_run_config, parse_run_config
-from heatseg.losses import LossWeights
 from heatseg.model import ModelConfig
 
 FLOAT_KEYS = [k for k, t in typing.get_type_hints(RunConfig).items() if t is float]
@@ -44,9 +45,9 @@ class TestDefaults:
         assert parse_run_config({"precision": "single"}).dtype == np.float32
 
     def test_derived_objects_carry_the_values(self):
-        cfg = parse_run_config({"num_categories": 5, "lambda_fisher": 0.25})
+        cfg = parse_run_config({"num_categories": 5, "topk_ratio": 0.25})
         assert cfg.model_config().num_categories == 5
-        assert cfg.loss_weights().lambda_fisher == 0.25
+        assert cfg.model_config().topk_ratio == 0.25
 
 
 class TestValidation:
@@ -91,6 +92,28 @@ class TestValidation:
             parse_run_config({"total_steps": 0})
         with pytest.raises(ConfigError, match="'learning_rate'"):
             parse_run_config({"learning_rate": 0.0})
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", -1),
+        ("image_size", 0),
+        ("image_size", -8),
+        ("batch_size", 0),
+        ("topk_ratio", 0.0),
+        ("topk_ratio", 1.5),
+        ("topk_eps", 0.0),
+        ("lambda_heatmap", -0.1),
+        ("lambda_fisher", -0.1),
+        ("fisher_eps", 0.0),
+        ("c_feat", 3),
+        ("c_class", 3),
+        ("decoder_layers", -1),
+        ("downsample_factor", 3),
+    ])
+    def test_range_rule_names_its_key(self, key, value):
+        # total_steps, learning_rate, num_categories, the factor divisibility
+        # of image_size and the encoder_widths count have tests of their own
+        with pytest.raises(ConfigError, match=key):
+            parse_run_config({key: value})
 
     def test_num_categories_bounds(self):
         # labels are stored as uint8, so 256 categories is the most
@@ -149,6 +172,13 @@ class TestSchema:
         assert FLOAT_KEYS == ["topk_ratio", "topk_eps", "lambda_heatmap", "lambda_fisher",
                               "fisher_eps", "learning_rate"]
 
-    @pytest.mark.parametrize("part", [ModelConfig, LossWeights])
-    def test_derived_configs_take_their_fields_from_run_config(self, part):
-        assert {f.name for f in fields(part)} <= {f.name for f in fields(RunConfig)}
+    def test_derived_configs_take_their_fields_from_run_config(self):
+        keys = {f.name for f in fields(RunConfig)}
+        assert {f.name for f in fields(ModelConfig)} <= keys
+        # no second table of run settings: every other consumer reads RunConfig
+        declaring = [
+            obj for module in (model, coupling, losses) for obj in vars(module).values()
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+            and obj.__module__ == module.__name__ and keys & {f.name for f in fields(obj)}
+        ]
+        assert declaring == [ModelConfig]

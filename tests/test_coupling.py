@@ -5,12 +5,10 @@ modulated variants pixel by pixel, so the factored implementation has an
 independent oracle.  The smaller pieces get closed-form and boundary checks.
 """
 import numpy as np
-import pytest
 
 from heatseg import tensor as T
 from heatseg.coupling import (
     CouplingParams,
-    TopKConfig,
     affine_params,
     class_heatmaps,
     coupling_forward,
@@ -18,9 +16,9 @@ from heatseg.coupling import (
     modulate_and_fuse,
     normalize_region,
     pool_context,
-    select_region,
+    region_size,
 )
-from heatseg.tensor import Tensor
+from heatseg.tensor import Tensor, topk_indices
 
 
 def make_params(c_feat, c_class, seed=0):
@@ -35,32 +33,15 @@ def rand(shape, seed=0, lo=-1.0, hi=1.0):
 # region selection
 
 
-class TestTopKConfig:
+class TestRegionSize:
     def test_k_rounds_half_away_from_zero(self):
-        assert TopKConfig(ratio=0.02, eps=1e-6).k_for(100) == 2
-        assert TopKConfig(ratio=0.5, eps=1e-6).k_for(5) == 3
-        assert TopKConfig(ratio=0.25, eps=1e-6).k_for(10) == 3
+        assert region_size(0.02, 100) == 2
+        assert region_size(0.5, 5) == 3
+        assert region_size(0.25, 10) == 3
 
     def test_k_is_at_least_one_and_at_most_all(self):
-        assert TopKConfig(ratio=0.02, eps=1e-6).k_for(10) == 1
-        assert TopKConfig(ratio=1.0, eps=1e-6).k_for(7) == 7
-
-    def test_ratio_validation(self):
-        with pytest.raises(ValueError, match="ratio"):
-            TopKConfig(ratio=0.0, eps=1e-6)
-        with pytest.raises(ValueError, match="ratio"):
-            TopKConfig(ratio=1.5, eps=1e-6)
-        with pytest.raises(ValueError, match="eps"):
-            TopKConfig(ratio=0.5, eps=0.0)
-
-    def test_select_region_prefers_lower_index_on_ties(self):
-        channel = Tensor(np.array([0.9, 0.1, 0.9, 0.5]))
-        region = select_region(channel, TopKConfig(ratio=0.5, eps=1e-6))
-        np.testing.assert_array_equal(region, [0, 2])
-        # stacked channels along the last axis each select on their own
-        rows = Tensor(np.array([[[0.9, 0.1, 0.9, 0.5], [0.2, 0.7, 0.7, 0.7]]]))
-        region = select_region(rows, TopKConfig(ratio=0.5, eps=1e-6))
-        np.testing.assert_array_equal(region, [[[0, 2], [1, 2]]])
+        assert region_size(0.02, 10) == 1
+        assert region_size(1.0, 7) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +67,7 @@ class TestHeatmaps:
 
     def test_region_weights_sum_to_selected_over_total(self):
         channel = Tensor(rand((40,), 5, lo=0.01, hi=0.99))
-        region = select_region(channel, TopKConfig(ratio=0.1, eps=1e-6))
+        region = topk_indices(channel.data, region_size(0.1, 40))
         eps = 1e-6
         weights = normalize_region(channel, region, eps)
         s = float(channel.data[region].sum())
@@ -244,11 +225,10 @@ class TestFullLayer:
         p = make_params(5, 4, seed=3)
         feats = rand((30, 5), 30)
         emb = rand((3, 4), 31)
-        cfg = TopKConfig(ratio=0.1, eps=1e-6)
         feats_out, emb_out, scores, heat = coupling_forward(
-            Tensor(feats[None]), Tensor(emb[None]), p, cfg
+            Tensor(feats[None]), Tensor(emb[None]), p, 0.1, 1e-6
         )
-        ref_f, ref_e, ref_s, ref_h = layer_oracle(feats, emb, p, cfg.ratio, cfg.eps)
+        ref_f, ref_e, ref_s, ref_h = layer_oracle(feats, emb, p, 0.1, 1e-6)
         np.testing.assert_allclose(scores.data[0], ref_s, atol=1e-10)
         np.testing.assert_allclose(heat.data[0], ref_h, atol=1e-10)
         np.testing.assert_allclose(emb_out.data[0], ref_e, atol=1e-10)
@@ -260,10 +240,9 @@ class TestFullLayer:
         p = make_params(5, 4, seed=8)
         feats = rand((3, 30, 5), 37)
         emb = rand((3, 3, 4), 38)
-        cfg = TopKConfig(ratio=0.1, eps=1e-6)
-        outs = coupling_forward(Tensor(feats), Tensor(emb), p, cfg)
+        outs = coupling_forward(Tensor(feats), Tensor(emb), p, 0.1, 1e-6)
         for b in range(3):
-            refs = layer_oracle(feats[b], emb[b], p, cfg.ratio, cfg.eps)
+            refs = layer_oracle(feats[b], emb[b], p, 0.1, 1e-6)
             for name, got, ref in zip(("feats", "emb", "scores", "heat"), outs, refs):
                 np.testing.assert_allclose(got.data[b], ref, rtol=0, atol=1e-12, err_msg=name)
 
@@ -271,11 +250,10 @@ class TestFullLayer:
         p = make_params(6, 4, seed=4)
         feats = rand((40, 6), 32)
         emb = rand((3, 4), 33)
-        cfg = TopKConfig(ratio=0.2, eps=1e-6)
-        out_a, emb_a, _, _ = coupling_forward(Tensor(feats[None]), Tensor(emb[None]), p, cfg)
+        out_a, emb_a, _, _ = coupling_forward(Tensor(feats[None]), Tensor(emb[None]), p, 0.2, 1e-6)
         perm = np.random.default_rng(34).permutation(40)
         out_b, emb_b, _, _ = coupling_forward(
-            Tensor(feats[perm][None]), Tensor(emb[None]), p, cfg
+            Tensor(feats[perm][None]), Tensor(emb[None]), p, 0.2, 1e-6
         )
         np.testing.assert_allclose(out_b.data[0], out_a.data[0][perm], atol=1e-10)
         np.testing.assert_allclose(emb_b.data, emb_a.data, atol=1e-10)
@@ -284,7 +262,7 @@ class TestFullLayer:
         p = make_params(5, 4, seed=5)
         feats = Tensor(rand((1, 25, 5), 35), requires_grad=True)
         emb = Tensor(rand((1, 3, 4), 36), requires_grad=True)
-        feats_out, emb_out, _, _ = coupling_forward(feats, emb, p, TopKConfig(ratio=0.2, eps=1e-6))
+        feats_out, emb_out, _, _ = coupling_forward(feats, emb, p, 0.2, 1e-6)
         loss = T.reduce(T.mul(feats_out, feats_out), kind="sum") + T.reduce(emb_out, kind="sum")
         loss.backward()
         for name, param in p.named("layer"):

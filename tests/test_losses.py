@@ -11,7 +11,7 @@ weights) are checked structurally.
 import numpy as np
 import pytest
 
-from heatseg.config import RunConfig
+from heatseg.config import ConfigError, RunConfig, parse_run_config
 from heatseg.losses import (
     ce_dice_loss,
     fisher_loss,
@@ -242,7 +242,7 @@ class TestHeatmapLoss:
         labels = rand_labels((1, 4, 4), 2, 9)
         for dtype in (np.float32, np.float64):
             logits = Tensor(rand((1, 2, 2, 2), 9).astype(dtype))
-            loss, parts = total_loss(logits, labels, [], [], RunConfig().loss_weights())
+            loss, parts = total_loss(logits, labels, [], [], RunConfig())
             assert parts["l_hm"] == parts["l_fd"] == 0.0
             assert loss.dtype == dtype and parts["l_total"] == parts["l_main"]
 
@@ -331,9 +331,9 @@ def small_forward(seed=0):
 class TestTotalLoss:
     def test_parts_recombine_to_total(self):
         _, out, labels = small_forward(1)
-        weights = RunConfig(lambda_heatmap=0.3, lambda_fisher=0.7).loss_weights()
+        cfg = RunConfig(lambda_heatmap=0.3, lambda_fisher=0.7)
         loss, parts = total_loss(
-            out.logits, labels, out.scores_per_layer, out.embeddings_per_layer, weights
+            out.logits, labels, out.scores_per_layer, out.embeddings_per_layer, cfg
         )
         assert set(parts) == {"l_total", "l_main", "l_hm", "l_fd"}
         assert parts["l_total"] == pytest.approx(loss.item(), abs=0)
@@ -344,7 +344,7 @@ class TestTotalLoss:
         _, out, labels = small_forward(2)
         _, parts = total_loss(
             out.logits, labels, out.scores_per_layer, out.embeddings_per_layer,
-            RunConfig(lambda_heatmap=0.0, lambda_fisher=0.0).loss_weights(),
+            RunConfig(lambda_heatmap=0.0, lambda_fisher=0.0),
         )
         assert parts["l_total"] == parts["l_main"]
         assert parts["l_hm"] > 0.0 and parts["l_fd"] >= 0.0
@@ -355,7 +355,7 @@ class TestTotalLoss:
         model_a, out_a, labels = small_forward(3)
         loss_a, _ = total_loss(
             out_a.logits, labels, out_a.scores_per_layer, out_a.embeddings_per_layer,
-            RunConfig(lambda_heatmap=0.0, lambda_fisher=0.0).loss_weights(),
+            RunConfig(lambda_heatmap=0.0, lambda_fisher=0.0),
         )
         loss_a.backward()
 
@@ -373,7 +373,8 @@ class TestTotalLoss:
             np.testing.assert_array_equal(ga, gb, err_msg=name)
 
     def test_weight_validation(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            RunConfig(lambda_heatmap=-0.1).loss_weights()
-        with pytest.raises(ValueError, match="fisher_eps"):
-            RunConfig(fisher_eps=0.0).loss_weights()
+        # total_loss reads its keys as given; parsing the config rejects bad ones
+        with pytest.raises(ConfigError, match="'lambda_fisher' must be >= 0"):
+            parse_run_config({"lambda_fisher": -0.1})
+        with pytest.raises(ConfigError, match="'fisher_eps' must be positive"):
+            parse_run_config({"fisher_eps": 0.0})

@@ -143,7 +143,7 @@ class TestForwardShapes:
     def test_predict_builds_no_graph(self):
         model = SegModel(small_config(), seed=8)
         model.predict(images(seed=9))
-        assert all(p.grad is None for p in model.parameters())
+        assert all(p.grad is None for _, p in model.named_parameters())
 
 
 class TestParameters:
@@ -189,7 +189,7 @@ class TestParameters:
 
     def test_dtype_follows_constructor(self):
         model = SegModel(small_config(), seed=18, dtype=np.float32)
-        assert all(p.data.dtype == np.float32 for p in model.parameters())
+        assert all(p.data.dtype == np.float32 for _, p in model.named_parameters())
         out = model.forward(Tensor(images(seed=10).astype(np.float32)))
         assert out.logits.dtype == np.float32
 
@@ -200,7 +200,7 @@ class TestParameters:
         out = model.forward(Tensor(images(seed=12).astype(dtype)))
         labels = np.random.default_rng(13).integers(0, 3, size=(2, 16, 16))
         loss, _ = total_loss(out.logits, labels, out.scores_per_layer,
-                             out.embeddings_per_layer, RunConfig().loss_weights())
+                             out.embeddings_per_layer, RunConfig())
         seen, stack = {id(loss)}, [loss]
         while stack:
             node = stack.pop()
