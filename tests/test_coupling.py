@@ -7,6 +7,7 @@ independent oracle.  The smaller pieces get closed-form and boundary checks.
 import numpy as np
 
 from heatseg import tensor as T
+from heatseg.config import parse_run_config
 from heatseg.coupling import (
     CouplingParams,
     affine_params,
@@ -42,6 +43,19 @@ class TestRegionSize:
     def test_k_is_at_least_one_and_at_most_all(self):
         assert region_size(0.02, 10) == 1
         assert region_size(1.0, 7) == 7
+
+
+class TestTopKConfig:
+    def test_select_region_prefers_lower_index_on_ties(self):
+        # the region coupling_forward selects for the run config's topk_ratio
+        ratio = parse_run_config({"topk_ratio": 0.5}).model_config().topk_ratio
+        channel = np.array([0.9, 0.1, 0.9, 0.5])
+        region = topk_indices(channel, region_size(ratio, channel.shape[-1]))
+        np.testing.assert_array_equal(region, [0, 2])
+        # stacked channels along the last axis each select on their own
+        rows = np.array([[[0.9, 0.1, 0.9, 0.5], [0.2, 0.7, 0.7, 0.7]]])
+        region = topk_indices(rows, region_size(ratio, rows.shape[-1]))
+        np.testing.assert_array_equal(region, [[[0, 2], [1, 2]]])
 
 
 # ---------------------------------------------------------------------------
