@@ -221,6 +221,9 @@ def _model_from_checkpoint(ckpt_path):
 
 
 def cmd_eval(args) -> int:
+    if args.ignore_index is not None and not 0 <= args.ignore_index <= 255:
+        # labels are bytes, so such an index would exclude nothing
+        return _fail(f"--ignore-index must be in 0..255, got {args.ignore_index}")
     model, cfg = _model_from_checkpoint(args.ckpt)
     samples = load_dataset(args.data)
     ignore = args.ignore_index if args.ignore_index is not None else cfg.ignore_index

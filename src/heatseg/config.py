@@ -122,6 +122,10 @@ def parse_run_config(raw: dict, base_dir: Optional[Path] = None) -> RunConfig:
         for key in ("fisher_eps", "learning_rate"):
             if merged[key] <= 0:
                 errors.append(f"{key!r} must be positive, got {merged[key]}")
+        # labels are bytes, so an index outside 0..255 would exclude nothing
+        ignore = merged["ignore_index"]
+        if ignore is not None and not 0 <= ignore <= 255:
+            errors.append(f"'ignore_index' must be in 0..255 or null, got {ignore}")
     if errors:
         raise ConfigError(errors)
 

@@ -5,8 +5,14 @@ number, so the implicit graph is ordered exactly by execution.  ``backward``
 walks the ancestors of a scalar loss in reverse execution order and pushes
 adjoints through per-operation closures.  Gradients accumulate on leaves
 (tensors created directly rather than by an operation) that were built with
-``requires_grad=True``; repeated backward calls keep adding until the
-accumulator is cleared.
+``requires_grad=True``; backward passes over fresh graphs keep adding until
+the accumulator is cleared.
+
+Each graph back-propagates once.  As soon as a node's adjoint has run, its
+closure is dropped, so the arrays only the closure saved (im2col columns,
+relu masks) are freed while the pass runs; node values and parent links stay.
+A second backward from the same loss raises ``ValueError`` at its root, before
+any leaf gradient changes.
 
 Arrays are float32 or float64; anything else passed to the constructor is
 promoted to float64.  Broadcasting in elementwise operations follows numpy's
@@ -362,6 +368,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     The input is unrolled into (B*oh*ow, kh*kw*C) columns, so the forward and
     the weight gradient are one GEMM each over every output pixel of the batch.
     A 1x1 unpadded kernel reads its (strided) input itself as the columns.
+
+    The input gradient is taken per kernel tap (u, v): one GEMM of the
+    (pixels, O) output gradient against that tap's (C, O) block of the kernel
+    matrix, transposed, gives the tap's (pixels, C) share.  Its rows that read
+    the unpadded input are added into the span they read, so no column
+    gradient or padded buffer is built, and a tap that reads only padding is
+    skipped.  The stride-1 pointwise kernel's input gradient is one GEMM.
     """
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 4 or wd.ndim != 4:
@@ -391,8 +404,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         xp = np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0)))
         win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::s, ::s]
         cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * cin)
-    # backward keeps only the padded extents; the padded copy dies here
-    padded = (batch, height + 2 * p, width + 2 * p, cin)
     out = cols @ wmat
     out += bd
 
@@ -404,19 +415,33 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         if b.requires_grad:
             gb = g2.sum(axis=0)
         if x.requires_grad:
-            gcols = g2 @ wmat.T
             if pointwise and s == 1:
-                gx = gcols.reshape(xd.shape)
+                gx = (g2 @ wmat.T).reshape(xd.shape)
             else:
-                gcols = gcols.reshape(batch, oh, ow, kh, kw, cin)
-                gxp = np.zeros(padded, dtype=xd.dtype)
-                for u in range(kh):
-                    for v in range(kw):
-                        gxp[:, u : u + s * oh : s, v : v + s * ow : s] += gcols[:, :, :, u, v]
-                gx = gxp[:, p : p + height, p : p + width]
+                gx = np.zeros_like(xd)
+                taps = wmat.reshape(kh, kw, cin, cout)
+                rows, spans = _tap_spans(kh, height, oh, s, p), _tap_spans(kw, width, ow, s, p)
+                for (u, oi, yi), (v, oj, xj) in itertools.product(rows, spans):
+                    tap = (g2 @ taps[u, v].T).reshape(batch, oh, ow, cin)
+                    gx[:, yi, xj] += tap[:, oi, oj]
         return (gx, gw, gb)
 
     return _node(out.reshape(batch, oh, ow, cout), (x, w, b), _bw)
+
+
+def _tap_spans(k_n: int, n: int, out_n: int, s: int, p: int) -> list:
+    """(offset, output slice, input slice) along one axis for every kernel
+    offset that reads the unpadded extent ``n``; offsets reading only padding
+    are left out."""
+    spans = []
+    for k in range(k_n):
+        # output index i reads input index i*s + k - p
+        i0 = max(0, -((k - p) // s))
+        i1 = min(out_n, (n - 1 + p - k) // s + 1)
+        if i0 < i1:
+            y0 = i0 * s + k - p
+            spans.append((k, slice(i0, i1), slice(y0, y0 + s * (i1 - i0 - 1) + 1, s)))
+    return spans
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +465,10 @@ def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
 # engine
 
 
+def _released(g):
+    raise ValueError("graph already back-propagated; build a new graph for another backward")
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate dLoss/dLeaf on every requires_grad leaf under ``loss``."""
     if loss.data.ndim != 0:
@@ -460,6 +489,8 @@ def backward(loss: Tensor) -> None:
                 continue
             prev = grads.get(id(parent))
             grads[id(parent)] = pg if prev is None else prev + pg
+        # frees what only the closure held (columns, masks) while the pass runs
+        t._backward_fn = _released
 
 
 def ancestors_in_order(loss: Tensor) -> list:

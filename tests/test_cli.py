@@ -241,6 +241,14 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "s.ckpt")]) == 2
         assert "sample 3 contains label 7" in capsys.readouterr().err
 
+    def test_ignore_index_outside_byte_range_exits_two_and_writes_nothing(self, tmp_path,
+                                                                          tiny_config, capsys):
+        cfg = tiny_config(ignore_index=-5)
+        out = tmp_path / "run" / "m.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "'ignore_index' must be in 0..255 or null, got -5" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_config_key_exits_two(self, tmp_path, tiny_config, capsys):
         cfg = tiny_config(lerning_rate=0.1)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 2
@@ -266,6 +274,15 @@ class TestEval:
         assert set(result) == {"miou", "oa", "mf1", "per_class"}
         assert 0.0 <= result["oa"] <= 1.0
         assert len(result["per_class"]) == 3
+
+    def test_ignore_index_outside_byte_range_exits_two(self, trained, tiny_data_dir, capsys):
+        argv = ["eval", "--ckpt", str(trained), "--data", str(tiny_data_dir), "--ignore-index"]
+        for value in ("-1", "256", "300"):
+            assert main(argv + [value]) == 2
+            captured = capsys.readouterr()
+            assert f"--ignore-index must be in 0..255, got {value}" in captured.err
+            assert captured.out == ""
+        assert main(argv + ["255"]) == 0
 
     def test_missing_checkpoint_exits_two(self, tiny_data_dir, capsys):
         assert main(["eval", "--ckpt", "/nonexistent", "--data", str(tiny_data_dir)]) == 2

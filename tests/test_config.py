@@ -122,6 +122,15 @@ class TestValidation:
             with pytest.raises(ConfigError, match=rf"num_categories must be in \[2, 256\], got {n}"):
                 parse_run_config({"num_categories": n})
 
+    def test_ignore_index_bounds(self):
+        # labels are bytes, so an index outside 0..255 would exclude nothing
+        for n in (0, 255):
+            assert parse_run_config({"ignore_index": n}).ignore_index == n
+        for n in (-5, -1, 256, 300):
+            with pytest.raises(ConfigError,
+                               match=rf"'ignore_index' must be in 0\.\.255 or null, got {n}"):
+                parse_run_config({"ignore_index": n})
+
     def test_model_level_problems_surface_as_config_errors(self):
         with pytest.raises(ConfigError, match="not divisible"):
             parse_run_config({"image_size": 30})

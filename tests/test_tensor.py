@@ -7,7 +7,9 @@ import pytest
 
 from heatseg import losses
 from heatseg import tensor as T
+from heatseg.config import RunConfig
 from heatseg.gradcheck import max_rel_err, numerical_grad, op_checks
+from heatseg.model import SegModel
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
@@ -309,12 +311,48 @@ class TestBackward:
         with pytest.raises(ValueError, match="scalar"):
             T.backward(T.mul(x, x))
 
+    @pytest.mark.parametrize("x_shape, k, stride, padding", [
+        ((2, 2, 2, 3), 5, 3, 2),   # one output pixel: taps 0, 1 and 4 read only padding
+        ((2, 4, 5, 3), 5, 3, 2),
+        ((2, 7, 9, 3), 3, 2, 1),
+        ((2, 7, 9, 3), 3, 2, 0),
+        ((2, 7, 9, 3), 1, 2, 0),
+        ((2, 6, 6, 3), 3, 1, 1),
+    ])
+    def test_conv2d_input_gradient_matches_padded_scatter(self, x_shape, k, stride, padding):
+        # bitwise in float64: each input pixel sums the same tap products in
+        # the same tap order; only the products that landed in padding are gone
+        x = leaf(x_shape, 20)
+        w = T.Tensor(rand((4, x_shape[-1], k, k), 21))
+        out = T.conv2d(x, w, T.Tensor(rand((4,), 22)), stride=stride, padding=padding)
+        g = rand(out.shape, 23)
+        T.reduce(T.mul(out, T.Tensor(g)), kind="sum").backward()
+        np.testing.assert_array_equal(
+            x.grad, padded_scatter_input_grad(g, w.data, x_shape, stride, padding)
+        )
+
     def test_shared_subexpression_fans_in(self):
         x = leaf((3,), 11)
         y = T.sigmoid(x)
         T.reduce(T.add(y, y), kind="sum").backward()
         s = T.sigmoid(T.Tensor(x.data)).data
         np.testing.assert_allclose(x.grad, 2.0 * s * (1.0 - s), atol=1e-12)
+
+
+def padded_scatter_input_grad(g, w, x_shape, stride, padding):
+    """conv2d's earlier input adjoint: the (pixels, kh*kw*C) column gradient
+    scattered tap by tap into a zeroed padded buffer, then cropped."""
+    batch, height, width, cin = x_shape
+    cout, _, kh, kw = w.shape
+    _, oh, ow, _ = g.shape
+    s, p = stride, padding
+    wmat = w.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
+    gcols = (g.reshape(-1, cout) @ wmat.T).reshape(batch, oh, ow, kh, kw, cin)
+    gxp = np.zeros((batch, height + 2 * p, width + 2 * p, cin))
+    for u in range(kh):
+        for v in range(kw):
+            gxp[:, u : u + s * oh : s, v : v + s * ow : s] += gcols[:, :, :, u, v]
+    return gxp[:, p : p + height, p : p + width]
 
 
 # ---------------------------------------------------------------------------
@@ -355,3 +393,44 @@ class TestGraph:
 
     def test_tensor_promotes_integer_input(self):
         assert T.Tensor(np.arange(3)).dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
+# one backward per graph
+
+
+def held_arrays(node):
+    """Arrays the node's adjoint closure keeps alive."""
+    cells = getattr(node._backward_fn, "__closure__", None) or ()
+    return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+
+
+class TestRelease:
+    def test_second_backward_raises_and_leaves_grads_alone(self):
+        a, b = leaf((3, 4), 24), leaf((4,), 25)
+        s = T.add(a, b)
+        loss = T.reduce(T.mul(T.sigmoid(s), s), kind="sum")
+        value = loss.item()
+        loss.backward()
+        first = (a.grad.copy(), b.grad.copy())
+        with pytest.raises(ValueError, match="already back-propagated"):
+            loss.backward()
+        np.testing.assert_array_equal(a.grad, first[0])
+        np.testing.assert_array_equal(b.grad, first[1])
+        # node values and parent links stay
+        assert loss.item() == value and loss._parents[0]._parents[1] is s
+
+    def test_train_step_backward_frees_every_closure_array(self):
+        cfg = RunConfig(num_categories=3, c_feat=12, c_class=6, encoder_widths=(6, 8))
+        model = SegModel(cfg.model_config(), seed=0)
+        out = model.forward(T.Tensor(rand((2, 3, 16, 16), 26, 0.0, 1.0)))
+        labels = np.random.default_rng(27).integers(0, 3, size=(2, 16, 16))
+        loss, _ = losses.total_loss(
+            out.logits, labels, out.scores_per_layer, out.embeddings_per_layer, cfg
+        )
+        nodes = T.ancestors_in_order(loss)
+        # conv2d columns and relu masks live only in their closures
+        assert sum(1 for n in nodes if held_arrays(n)) > 10
+        loss.backward()
+        assert [n for n in nodes if held_arrays(n)] == []
+        assert all(p.grad is not None for _, p in model.named_parameters())
