@@ -37,12 +37,12 @@ from .data import (
     synth_generate,
     to_unit,
 )
-from .gradcheck import format_report, run_all
+from .gradcheck import DEFAULT_EPS, format_report, run_all
 from .losses import total_loss
 from .metrics import ConfusionMatrix, summarize
 from .model import SegModel
 from .optim import AdamState, adam_step, cosine_lr, zero_grad
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, no_grad, sigmoid
 
 
 class NonFiniteCheckpoint(Exception):
@@ -139,8 +139,7 @@ def cmd_train(args) -> int:
         return _fail(f"checkpoint is already at step {start_step}, target is {target}")
 
     out_path = Path(args.out)
-    if out_path.parent:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     log_path = Path(str(out_path) + ".log")
 
     if args.resume:
@@ -252,11 +251,11 @@ def cmd_export_heatmaps(args) -> int:
     # the forward rejects extents off the factor before anything is written
     with no_grad():
         out = model.forward(Tensor(batch))
+        heat_layers = [sigmoid(scores).data[0] for scores in out.scores_per_layer]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for li, heat in enumerate(out.heat_per_layer, start=1):
-        for n in range(cfg.num_categories):
-            channel = heat.data[0, n]
+    for li, heat in enumerate(heat_layers, start=1):
+        for n, channel in enumerate(heat):
             span = float(channel.max() - channel.min())
             if span <= 0.0:
                 scaled = np.zeros(channel.shape, dtype=np.uint8)
@@ -264,7 +263,7 @@ def cmd_export_heatmaps(args) -> int:
                 scaled = np.round((channel - channel.min()) / span * 255.0).astype(np.uint8)
             save_pgm(out_dir / f"layer{li}_class{n}.pgm", scaled)
     save_pgm(out_dir / "pred.pgm", model.readout(out.logits.data)[0].astype(np.uint8))
-    written = len(out.heat_per_layer) * cfg.num_categories + 1
+    written = len(heat_layers) * cfg.num_categories + 1
     print(f"wrote {written} files to {out_dir}", file=sys.stderr)
     return 0
 
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify adjoints against finite differences")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=1e-5)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument(
         "--corrupt",
         action="store_true",

@@ -97,15 +97,11 @@ class CouplingParams:
         return [(f"{prefix}.{f.name}", getattr(self, f.name)) for f in fields(self)]
 
 
-def class_heatmaps(feats: Tensor, emb: Tensor, w_query: Tensor, b_query: Tensor):
-    """Score pixels against embeddings: returns raw scores and their sigmoid.
-
-    feats is (..., P, c_feat), emb is (..., N, c_class); both outputs are
-    (..., P, N).
-    """
-    queries = matmul(emb, w_query) + b_query
-    scores = matmul(feats, swapaxes(queries, -1, -2))
-    return scores, sigmoid(scores)
+def class_scores(feats: Tensor, emb: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """(..., P, N) scores of (..., P, c_feat) pixels against (..., N, c_class)
+    embeddings projected by ``w`` and ``b``; heatmaps are their sigmoid."""
+    queries = matmul(emb, w) + b
+    return matmul(feats, swapaxes(queries, -1, -2))
 
 
 def normalize_region(heat: Tensor, region: np.ndarray, eps: float) -> Tensor:
@@ -199,16 +195,16 @@ def modulate_and_fuse(
 
 
 def coupling_forward(feats: Tensor, emb: Tensor, params: CouplingParams, ratio: float, eps: float):
-    """One full layer pass; returns (feats_out, emb_out, scores, heat_rows).
+    """One full layer pass; returns (feats_out, emb_out, scores).
 
-    feats is (B, P, c_feat) and emb (B, N, c_class); scores come back as
-    (B, P, N) and the heat as (B, N, P), one row per category channel.  Each
-    channel pools its ``region_size(ratio, P)`` hottest pixels, normalized
-    with ``eps``: the ``topk_ratio`` and ``topk_eps`` keys.
+    feats is (B, P, c_feat) and emb (B, N, c_class); the raw scores come back
+    as (B, P, N), and their sigmoid is the layer's heat.  Each category channel
+    pools its ``region_size(ratio, P)`` hottest pixels, normalized with
+    ``eps``: the ``topk_ratio`` and ``topk_eps`` keys.
     """
-    scores, heat = class_heatmaps(feats, emb, params.w_query, params.b_query)
-    # one row per category channel, pixels last
-    heat_rows = swapaxes(heat, -1, -2)
+    scores = class_scores(feats, emb, params.w_query, params.b_query)
+    # one heat row per category channel, pixels last
+    heat_rows = swapaxes(sigmoid(scores), -1, -2)
     region = topk_indices(heat_rows.data, region_size(ratio, heat_rows.shape[-1]))
     weights = normalize_region(heat_rows, region, eps)
     contexts = pool_context(feats, weights, region, params.w_context, params.b_context)
@@ -218,4 +214,4 @@ def coupling_forward(feats: Tensor, emb: Tensor, params: CouplingParams, ratio: 
         emb_out, params.w_scale, params.b_scale, params.w_shift, params.b_shift
     )
     feats_out = modulate_and_fuse(feats, gamma, beta, scores, params.blend)
-    return feats_out, emb_out, scores, heat_rows
+    return feats_out, emb_out, scores

@@ -31,7 +31,8 @@ class DataError(ValueError):
     """Malformed dataset file; the message names the file and byte offset."""
 
 
-def _mix_int(z: int) -> int:
+def _mix_int(z):
+    """splitmix64's output mix of an int, or of a uint64 array, which wraps alike."""
     z = ((z ^ (z >> 30)) * _MIX1) & MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & MASK64
     return z ^ (z >> 31)
@@ -47,17 +48,10 @@ class SplitMix64:
         self._state = (self._state + _GOLDEN) & MASK64
         return _mix_int(self._state)
 
-    def next_float(self) -> float:
-        return (self.next_u64() >> 11) * 2.0 ** -53
-
     def floats(self, n: int) -> np.ndarray:
         ks = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
         self._state = (self._state + n * _GOLDEN) & MASK64
-        with np.errstate(over="ignore"):
-            z = (ks ^ (ks >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            z = z ^ (z >> np.uint64(31))
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        return (_mix_int(ks) >> 11).astype(np.float64) * 2.0 ** -53
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive."""
@@ -204,29 +198,26 @@ def pixel_frequencies(samples: Sequence[SegSample], num_categories: int) -> List
 # netpbm files
 
 
+def _save_netpbm(path, magic: str, raster: np.ndarray) -> None:
+    """Write an (H, W) or channels-last (H, W, 3) uint8 raster with maxval 255."""
+    if raster.dtype != np.uint8:
+        raise ValueError(f"expected a uint8 raster, got dtype {raster.dtype}")
+    h, w = raster.shape[:2]
+    with open(path, "wb") as f:
+        f.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
+        f.write(raster.tobytes())
+
+
 def save_ppm(path, image: np.ndarray) -> None:
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected a (3, H, W) image, got shape {image.shape}")
-    if image.dtype != np.uint8:
-        raise ValueError(f"expected a uint8 raster, got dtype {image.dtype}")
-    h, w = image.shape[1], image.shape[2]
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(image.transpose(1, 2, 0).tobytes())
+    _save_netpbm(path, "P6", image.transpose(1, 2, 0))
 
 
 def save_pgm(path, values: np.ndarray) -> None:
     if values.ndim != 2:
         raise ValueError(f"expected a (H, W) array, got shape {values.shape}")
-    arr = np.asarray(values)
-    if arr.dtype != np.uint8:
-        if arr.min() < 0 or arr.max() > 255:
-            raise ValueError("values outside [0, 255] cannot be stored in a P5 file")
-        arr = arr.astype(np.uint8)
-    h, w = arr.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(arr.tobytes())
+    _save_netpbm(path, "P5", values)
 
 
 # whitespace and comments, from '#' to the end of the line, separate header fields

@@ -214,7 +214,7 @@ def layer_checks(seed: int = 0, eps: float = DEFAULT_EPS) -> List[CheckResult]:
     emb = _leaf(rng, (batch, n, c_class))
 
     def build():
-        f_out, e_out, _, _ = coupling_forward(feats, emb, params, 0.2, 1e-6)
+        f_out, e_out, _ = coupling_forward(feats, emb, params, 0.2, 1e-6)
         return T.reduce(f_out, kind="sum") + T.reduce(e_out, kind="sum")
 
     leaves = [(name.split(".", 1)[1], p) for name, p in params.named("layer")]

@@ -57,21 +57,17 @@ def summarize(cm: ConfusionMatrix) -> Dict:
     fp = counts.sum(axis=0).astype(np.float64) - tp
     fn = counts.sum(axis=1).astype(np.float64) - tp
     denom = tp + fp + fn
-
-    per_class: List[Dict] = []
-    ious, f1s = [], []
-    for i in range(cm.num_categories):
-        if denom[i] > 0:
-            iou = tp[i] / denom[i]
-            f1 = 2.0 * tp[i] / (2.0 * tp[i] + fp[i] + fn[i])
-            ious.append(iou)
-            f1s.append(f1)
-            per_class.append({"iou": iou, "f1": f1})
-        else:
-            per_class.append({"iou": None, "f1": None})
+    seen = denom > 0
+    # unseen categories divide by one and are reported as None
+    ious = tp / np.where(seen, denom, 1.0)
+    f1s = 2.0 * tp / np.where(seen, 2.0 * tp + fp + fn, 1.0)
+    per_class: List[Dict] = [
+        {"iou": float(iou), "f1": float(f1)} if ok else {"iou": None, "f1": None}
+        for ok, iou, f1 in zip(seen, ious, f1s)
+    ]
     return {
-        "miou": float(np.mean(ious)),
+        "miou": float(np.mean(ious[seen])),
         "oa": float(tp.sum() / total),
-        "mf1": float(np.mean(f1s)),
+        "mf1": float(np.mean(f1s[seen])),
         "per_class": per_class,
     }

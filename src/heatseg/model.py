@@ -13,9 +13,9 @@ Decoding reshapes the base map to contiguous (B, P, c_feat) pixel features
 without a transpose, broadcasts a learnable, input-independent embedding table
 shared by all images to (B, N, c_class), and runs the coupling layer L times on
 the whole batch.  The head scores pixels against projected final embeddings
-on the coupled grid; those logits, like every layer's scores, are the
-prediction at H/factor x W/factor.  ``predict`` repeats their argmax over each
-factor x factor block.
+on the coupled grid with the layers' own ``class_scores``; those logits, like
+every layer's scores, are the prediction at H/factor x W/factor.  ``predict``
+repeats their argmax over each factor x factor block.
 """
 from __future__ import annotations
 
@@ -26,11 +26,10 @@ from typing import List, Tuple
 import numpy as np
 
 from .checkpoint import copy_named
-from .coupling import CouplingParams, coupling_forward, uniform_init
+from .coupling import CouplingParams, class_scores, coupling_forward, uniform_init
 from .tensor import (
     Tensor,
     conv2d,
-    matmul,
     no_grad,
     relu,
     reshape,
@@ -89,8 +88,7 @@ class ModelConfig:
 @dataclass
 class ModelOutput:
     logits: Tensor                       # (B, N, H', W'), pre-softmax
-    scores_per_layer: List[Tensor]       # each (B, N, H', W'), raw heat scores
-    heat_per_layer: List[Tensor]         # each (B, N, H', W'), sigmoid heat
+    scores_per_layer: List[Tensor]       # each (B, N, H', W'); the heat is their sigmoid
     embeddings_per_layer: List[Tensor]   # each (B, N, c_class), post-update
 
 
@@ -181,8 +179,8 @@ class SegModel:
         ``base`` is the channels-last (B, H', W', c_feat) encoder output, so
         the features are a plain C-contiguous reshape of it.
 
-        Returns the final features and embeddings, then per layer the scores
-        and heat as (B, N, H', W') maps and the updated (B, N, c_class)
+        Returns the final features and embeddings, then per layer the raw
+        scores as (B, N, H', W') maps and the updated (B, N, c_class)
         embeddings.
         """
         batch, hh, ww, c_feat = base.shape
@@ -193,31 +191,27 @@ class SegModel:
 
         maps = (batch, self.config.num_categories, hh, ww)
         scores_layers: List[Tensor] = []
-        heat_layers: List[Tensor] = []
         emb_layers: List[Tensor] = []
         for layer in self.layers:
-            # scores come as (B, P, N), the heat already as (B, N, P) rows
-            feats, emb, scores, heat = coupling_forward(feats, emb, layer, ratio, eps)
+            # scores come as (B, P, N)
+            feats, emb, scores = coupling_forward(feats, emb, layer, ratio, eps)
             scores_layers.append(reshape(swapaxes(scores, 1, 2), maps))
-            heat_layers.append(reshape(heat, maps))
             emb_layers.append(emb)
-        return feats, emb, scores_layers, heat_layers, emb_layers
+        return feats, emb, scores_layers, emb_layers
 
     def output_head(self, feats: Tensor, emb: Tensor, hh: int, ww: int) -> Tensor:
         """(B, N, H', W') logits on the coupled grid from (B, P, c_feat) features."""
-        queries = matmul(emb, self.head_w) + self.head_b
         # (B, P, N) scores keep the features' adjoint C-contiguous
-        z = swapaxes(matmul(feats, swapaxes(queries, 1, 2)), 1, 2)
+        z = swapaxes(class_scores(feats, emb, self.head_w, self.head_b), 1, 2)
         return reshape(z, (z.shape[0], z.shape[1], hh, ww))
 
     def forward(self, images: Tensor) -> ModelOutput:
         base = self.encoder_forward(images)
         hh, ww = base.shape[1], base.shape[2]
-        feats, emb, scores_layers, heat_layers, emb_layers = self.decode(base)
+        feats, emb, scores_layers, emb_layers = self.decode(base)
         return ModelOutput(
             logits=self.output_head(feats, emb, hh, ww),
             scores_per_layer=scores_layers,
-            heat_per_layer=heat_layers,
             embeddings_per_layer=emb_layers,
         )
 

@@ -240,36 +240,19 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _node(out, tuple(tensors), _bw)
 
 
-def _normalize_axes(axis, ndim: int):
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    axes = []
-    for a in axis:
-        if not -ndim <= a < ndim:
-            raise ValueError(f"axis {a} out of range for {ndim}-d tensor")
-        axes.append(a % ndim)
-    if len(set(axes)) != len(axes):
-        raise ValueError("duplicate reduction axes")
-    return tuple(sorted(axes))
-
-
 def reduce(x: Tensor, axis=None, kind: str = "sum", keepdims: bool = False) -> Tensor:
+    """Sum or mean over ``axis``: an int, a tuple, or None for all; numpy checks it."""
     if kind not in ("sum", "mean"):
         raise ValueError(f"unknown reduction kind {kind!r}")
-    axes = _normalize_axes(axis, x.data.ndim)
-    count = 1
-    for a in axes:
-        count *= x.data.shape[a]
     if kind == "sum":
-        out = x.data.sum(axis=axes, keepdims=keepdims)
+        out = x.data.sum(axis=axis, keepdims=keepdims)
     else:
-        out = x.data.mean(axis=axes, keepdims=keepdims)
-    scale = 1.0 if kind == "sum" else 1.0 / count
+        out = x.data.mean(axis=axis, keepdims=keepdims)
+    # the sizes are exact, so the mean's scale is the correctly rounded 1 / count
+    scale = 1.0 if kind == "sum" else out.size / x.data.size
 
     def _bw(g):
-        gg = g if keepdims or not axes else np.expand_dims(g, axes)
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         gg = np.broadcast_to(gg, x.data.shape)
         return (gg * scale if kind == "mean" else gg.copy(),)
 
@@ -286,7 +269,7 @@ def gather(x: Tensor, indices, axis: int) -> Tensor:
     repeated indices accumulate.
     """
     xd = x.data
-    (ax,) = _normalize_axes(axis, xd.ndim)
+    ax = range(xd.ndim)[axis]
     idx = np.asarray(indices)
     lead, extent = xd.shape[:ax], xd.shape[ax]
     if not np.issubdtype(idx.dtype, np.integer) or idx.shape[:ax] != lead:
@@ -311,13 +294,12 @@ def gather(x: Tensor, indices, axis: int) -> Tensor:
 
 
 def softmax_axis(x: Tensor, axis: int) -> Tensor:
-    (ax,) = _normalize_axes(axis, x.data.ndim)
-    shifted = x.data - x.data.max(axis=ax, keepdims=True)
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=ax, keepdims=True)
+    out = e / e.sum(axis=axis, keepdims=True)
 
     def _bw(g):
-        dot = (g * out).sum(axis=ax, keepdims=True)
+        dot = (g * out).sum(axis=axis, keepdims=True)
         return ((g - dot) * out,)
 
     return _node(out, (x,), _bw)

@@ -117,7 +117,7 @@ def test_criterion_2_forward_invariants():
     params.blend.data[...] = 40.0
     feats = Tensor(rng.normal(size=(16, 8)))
     emb = Tensor(rng.normal(size=(3, 4)))
-    out, _, _, _ = coupling_forward(feats, emb, params, ratio, eps)
+    out, _, _ = coupling_forward(feats, emb, params, ratio, eps)
     passthrough_err = float(np.abs(out.data - feats.data).max())
     if passthrough_err > 1e-12:
         problems.append(f"saturated blend leaks {passthrough_err:.2e}")

@@ -15,6 +15,7 @@ from heatseg.config import load_run_config
 from heatseg.data import load_dataset, load_pgm, load_ppm, save_dataset, save_ppm, to_unit
 from heatseg.losses import total_loss
 from heatseg.model import SegModel
+from heatseg.tensor import Tensor, no_grad
 
 
 def read_log(path):
@@ -354,6 +355,29 @@ class TestExportHeatmaps:
             # maps are spread to the full byte range unless constant
             channel = load_pgm(out / f"layer1_class{n}.pgm")
             assert channel.min() == 0 and channel.max() in (0, 255)
+
+    def test_maps_are_the_scaled_logistic_of_each_layers_scores(self, tiny_config, tiny_data_dir,
+                                                                tmp_path):
+        ckpt, out = tmp_path / "model.ckpt", tmp_path / "maps"
+        image = tiny_data_dir / "images" / "img_00000.ppm"
+        assert main(["train", "--config", str(tiny_config(decoder_layers=2)),
+                     "--out", str(ckpt)]) == 0
+        assert main(["export-heatmaps", "--ckpt", str(ckpt),
+                     "--image", str(image), "--out", str(out)]) == 0
+        model, _ = cli._model_from_checkpoint(ckpt)
+        with no_grad():
+            fwd = model.forward(Tensor(to_unit(load_ppm(image)[None], model.dtype)))
+        assert len(fwd.scores_per_layer) == 2
+        for li, scores in enumerate(fwd.scores_per_layer, start=1):
+            for n, s in enumerate(scores.data[0]):
+                heat = 1 / (1 + np.exp(-s))
+                low, span = heat.min(), float(heat.max() - heat.min())
+                assert span > 0
+                np.testing.assert_array_equal(
+                    load_pgm(out / f"layer{li}_class{n}.pgm"),
+                    np.round((heat - low) / span * 255.0).astype(np.uint8),
+                    err_msg=f"layer {li} class {n}",
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from heatseg.config import parse_run_config
 from heatseg.coupling import (
     CouplingParams,
     affine_params,
-    class_heatmaps,
+    class_scores,
     coupling_forward,
     gated_update,
     modulate_and_fuse,
@@ -68,14 +68,16 @@ class TestHeatmaps:
         emb = Tensor(np.array([[2.0]]))
         w_query = Tensor(np.array([[0.5, 0.5]]))
         b_query = Tensor(np.zeros(2))
-        scores, heat = class_heatmaps(feats, emb, w_query, b_query)
+        scores = class_scores(feats, emb, w_query, b_query)
+        heat = T.sigmoid(scores)
         np.testing.assert_allclose(scores.data, [[2.0]], atol=1e-15)
         np.testing.assert_allclose(heat.data, [[1.0 / (1.0 + np.exp(-2.0))]], atol=1e-15)
 
     def test_shapes_are_pixels_by_categories(self):
         feats = Tensor(rand((12, 5), 1))
         emb = Tensor(rand((3, 4), 2))
-        scores, heat = class_heatmaps(feats, emb, Tensor(rand((4, 5), 3)), Tensor(rand(5, 4)))
+        scores = class_scores(feats, emb, Tensor(rand((4, 5), 3)), Tensor(rand(5, 4)))
+        heat = T.sigmoid(scores)
         assert scores.shape == (12, 3) and heat.shape == (12, 3)
         assert np.all((heat.data > 0) & (heat.data < 1))
 
@@ -202,7 +204,7 @@ class TestPieces:
 def layer_oracle(feats, emb, p, ratio, eps):
     """Re-derives one layer with per-pixel mixing, no factoring tricks.
 
-    Scores come back as (P, N) and the heat as (N, P), as the layer gives them.
+    Scores come back as (P, N), as the layer gives them, and the heat as (N, P).
     """
     q = emb @ p.w_query.data + p.b_query.data
     scores = feats @ q.T
@@ -239,12 +241,12 @@ class TestFullLayer:
         p = make_params(5, 4, seed=3)
         feats = rand((30, 5), 30)
         emb = rand((3, 4), 31)
-        feats_out, emb_out, scores, heat = coupling_forward(
+        feats_out, emb_out, scores = coupling_forward(
             Tensor(feats[None]), Tensor(emb[None]), p, 0.1, 1e-6
         )
         ref_f, ref_e, ref_s, ref_h = layer_oracle(feats, emb, p, 0.1, 1e-6)
         np.testing.assert_allclose(scores.data[0], ref_s, atol=1e-10)
-        np.testing.assert_allclose(heat.data[0], ref_h, atol=1e-10)
+        np.testing.assert_allclose(T.sigmoid(scores).data[0].T, ref_h, atol=1e-10)
         np.testing.assert_allclose(emb_out.data[0], ref_e, atol=1e-10)
         np.testing.assert_allclose(feats_out.data[0], ref_f, atol=1e-10)
 
@@ -257,16 +259,16 @@ class TestFullLayer:
         outs = coupling_forward(Tensor(feats), Tensor(emb), p, 0.1, 1e-6)
         for b in range(3):
             refs = layer_oracle(feats[b], emb[b], p, 0.1, 1e-6)
-            for name, got, ref in zip(("feats", "emb", "scores", "heat"), outs, refs):
+            for name, got, ref in zip(("feats", "emb", "scores"), outs, refs):
                 np.testing.assert_allclose(got.data[b], ref, rtol=0, atol=1e-12, err_msg=name)
 
     def test_pixel_permutation_equivariance(self):
         p = make_params(6, 4, seed=4)
         feats = rand((40, 6), 32)
         emb = rand((3, 4), 33)
-        out_a, emb_a, _, _ = coupling_forward(Tensor(feats[None]), Tensor(emb[None]), p, 0.2, 1e-6)
+        out_a, emb_a, _ = coupling_forward(Tensor(feats[None]), Tensor(emb[None]), p, 0.2, 1e-6)
         perm = np.random.default_rng(34).permutation(40)
-        out_b, emb_b, _, _ = coupling_forward(
+        out_b, emb_b, _ = coupling_forward(
             Tensor(feats[perm][None]), Tensor(emb[None]), p, 0.2, 1e-6
         )
         np.testing.assert_allclose(out_b.data[0], out_a.data[0][perm], atol=1e-10)
@@ -276,7 +278,7 @@ class TestFullLayer:
         p = make_params(5, 4, seed=5)
         feats = Tensor(rand((1, 25, 5), 35), requires_grad=True)
         emb = Tensor(rand((1, 3, 4), 36), requires_grad=True)
-        feats_out, emb_out, _, _ = coupling_forward(feats, emb, p, 0.2, 1e-6)
+        feats_out, emb_out, _ = coupling_forward(feats, emb, p, 0.2, 1e-6)
         loss = T.reduce(T.mul(feats_out, feats_out), kind="sum") + T.reduce(emb_out, kind="sum")
         loss.backward()
         for name, param in p.named("layer"):

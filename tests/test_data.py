@@ -36,11 +36,11 @@ class TestSplitMix:
 
     def test_block_draws_continue_the_scalar_stream(self):
         a = SplitMix64(7)
-        scalar = [a.next_float() for _ in range(6)]
+        scalar = [(a.next_u64() >> 11) * 2**-53 for _ in range(6)]
         b = SplitMix64(7)
-        first = b.next_float()
+        first = (b.next_u64() >> 11) * 2**-53
         block = b.floats(4)
-        last = b.next_float()
+        last = (b.next_u64() >> 11) * 2**-53
         np.testing.assert_array_equal(np.array(scalar), np.array([first, *block, last]))
 
     def test_floats_are_in_unit_interval(self):
@@ -157,7 +157,7 @@ class TestNetpbm:
         with pytest.raises(ValueError, match="uint8 raster"):
             save_ppm(tmp_path / "x.ppm", np.zeros((3, 4, 4)))
         assert not (tmp_path / "x.ppm").exists()
-        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+        with pytest.raises(ValueError, match="uint8 raster"):
             save_pgm(tmp_path / "x.pgm", np.full((2, 2), 300))
 
     def test_bad_magic_names_file_and_offset(self, tmp_path):

@@ -61,10 +61,9 @@ class TestForwardShapes:
         model = SegModel(small_config(), seed=0)
         out = model.forward(Tensor(images()))
         assert out.logits.shape == (2, 3, 4, 4)
-        assert len(out.scores_per_layer) == 2 and len(out.heat_per_layer) == 2
-        for scores, heat in zip(out.scores_per_layer, out.heat_per_layer):
-            assert scores.shape == (2, 3, 4, 4) and heat.shape == (2, 3, 4, 4)
-            assert np.all((heat.data > 0) & (heat.data < 1))
+        assert len(out.scores_per_layer) == 2
+        for scores in out.scores_per_layer:
+            assert scores.shape == (2, 3, 4, 4)
         for emb in out.embeddings_per_layer:
             assert emb.shape == (2, 3, 6)
 

@@ -127,7 +127,7 @@ class TestForward:
         )
         with pytest.raises(ValueError, match="unknown reduction"):
             T.reduce(T.Tensor(a), kind="max")
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="out of bounds"):
             T.reduce(T.Tensor(a), axis=3)
         with pytest.raises(ValueError, match="duplicate"):
             T.reduce(T.Tensor(a), axis=(1, 1))
