@@ -126,9 +126,6 @@ def op_checks(seed: int = 0, eps: float = DEFAULT_EPS) -> List[CheckResult]:
     rx = rng.standard_normal((3, 4))
     run("op.sigmoid", lambda: _project(T.sigmoid(x), rx), [("x", x)])
     run("op.tanh", lambda: _project(T.tanh(x), rx), [("x", x)])
-    signs = rng.choice([-1.0, 1.0], size=(3, 4))
-    xoff = Tensor(rng.uniform(0.2, 1.5, size=(3, 4)) * signs, requires_grad=True)
-    run("op.relu", lambda: _project(T.relu(xoff), rx), [("x", xoff)])
 
     sm = _leaf(rng, (3, 5), -2.0, 2.0)
     rs = rng.standard_normal((3, 5))
@@ -165,29 +162,27 @@ def op_checks(seed: int = 0, eps: float = DEFAULT_EPS) -> List[CheckResult]:
     # channels-last (B, H, W, C) inputs and outputs
     cx, cw, cb = _leaf(rng, (2, 6, 6, 3)), _leaf(rng, (4, 3, 3, 3)), _leaf(rng, (4,))
     rc1 = rng.standard_normal((2, 6, 6, 4))
-    run(
-        "op.conv2d_s1",
-        lambda: _project(T.conv2d(cx, cw, cb, stride=1, padding=1), rc1),
-        [("x", cx), ("w", cw), ("b", cb)],
-    )
+    run("op.conv2d_s1", lambda: _project(T.conv2d(cx, cw, cb, stride=1, padding=1), rc1),
+        [("x", cx), ("w", cw), ("b", cb)])
     rc2 = rng.standard_normal((2, 3, 3, 4))
-    run(
-        "op.conv2d_s2",
-        lambda: _project(T.conv2d(cx, cw, cb, stride=2, padding=1), rc2),
-        [("x", cx), ("w", cw), ("b", cb)],
-    )
+    run("op.conv2d_s2", lambda: _project(T.conv2d(cx, cw, cb, stride=2, padding=1), rc2),
+        [("x", cx), ("w", cw), ("b", cb)])
     # 1x1 kernels read their (strided) input as the columns
     pw = _leaf(rng, (4, 3, 1, 1))
-    run(
-        "op.conv2d_1x1_s1",
-        lambda: _project(T.conv2d(cx, pw, cb), rc1),
-        [("x", cx), ("w", pw), ("b", cb)],
-    )
-    run(
-        "op.conv2d_1x1_s2",
-        lambda: _project(T.conv2d(cx, pw, cb, stride=2), rc2),
-        [("x", cx), ("w", pw), ("b", cb)],
-    )
+    run("op.conv2d_1x1_s1", lambda: _project(T.conv2d(cx, pw, cb), rc1),
+        [("x", cx), ("w", pw), ("b", cb)])
+    run("op.conv2d_1x1_s2", lambda: _project(T.conv2d(cx, pw, cb, stride=2), rc2),
+        [("x", cx), ("w", pw), ("b", cb)])
+    # halves times halves plus an odd multiple of 1/8: every pre-activation is
+    # at least 1/8 from the relu's kink, so no finite difference crosses it
+    qx = Tensor(rng.integers(-2, 3, size=(2, 6, 6, 3)) * 0.5, requires_grad=True)
+    qw = Tensor(rng.integers(-2, 3, size=(4, 3, 3, 3)) * 0.5, requires_grad=True)
+    qb = Tensor(rng.integers(-2, 2, size=(4,)) * 0.25 + 0.125, requires_grad=True)
+    run("op.conv2d_relu", lambda: _project(T.conv2d(qx, qw, qb, padding=1, relu=True), rc1),
+        [("x", qx), ("w", qw), ("b", qb)])
+    acc = _leaf(rng, (2, 3, 3, 4))
+    run("op.conv2d_acc", lambda: _project(T.conv2d(cx, pw, cb, stride=2, acc=acc), rc2),
+        [("x", cx), ("w", pw), ("b", cb), ("acc", acc)])
 
     # 2 images, 3 categories, 2x2 score blocks over 4x4 labels, one ignored; the
     # weight lifts the gradient to order 1, above max_rel_err's absolute floor

@@ -4,10 +4,12 @@ The encoder is a fixed stack of 3x3 convolution + relu stages; the first
 log2(downsample_factor) stages use stride 2 and the final stage stride 1.  It
 runs channels-last: the (B, 3, H, W) images are turned into (B, H, W, 3) once,
 and every activation after that is (B, h, w, C), so each convolution is one
-GEMM over all pixels of the batch and adds its bias inside ``conv2d``.  Every
-stage output is projected to c_feat by a 1x1 convolution, strided down to the
-aggregation scale H/factor x W/factor (the strided stages come first, so no
-stage is coarser), then summed into the (B, H', W', c_feat) base feature map.
+GEMM over all pixels of the batch and adds its bias inside ``conv2d``.  Each
+stage output is projected to c_feat by a 1x1 convolution as soon as it is
+computed, strided down to the aggregation scale H/factor x W/factor (the
+strided stages come first, so no stage is coarser), and summed into the
+(B, H', W', c_feat) base feature map.  ``conv2d`` applies the relu and adds
+the running sum in place, so a stage is two ``conv2d`` nodes and nothing else.
 
 Decoding reshapes the base map to contiguous (B, P, c_feat) pixel features
 without a transpose, broadcasts a learnable, input-independent embedding table
@@ -27,14 +29,7 @@ import numpy as np
 
 from .checkpoint import copy_named
 from .coupling import CouplingParams, class_scores, coupling_forward, uniform_init
-from .tensor import (
-    Tensor,
-    conv2d,
-    no_grad,
-    relu,
-    reshape,
-    swapaxes,
-)
+from .tensor import Tensor, conv2d, no_grad, reshape, swapaxes
 
 
 @dataclass
@@ -159,18 +154,15 @@ class SegModel:
             raise ValueError(f"image extents {(height, width)} not divisible by {f}")
         target = height // f
 
-        stage_outs = []
         # center [0, 1] inputs so the first stage sees a signed signal, then
         # go channels-last: (B, 3, H, W) -> (B, H, W, 3)
         h = swapaxes(swapaxes(2.0 * images - 1.0, 1, 3), 1, 2)
-        for (w, b), (_width, stride) in zip(self.enc_weights, self.config.stage_plan):
-            h = relu(conv2d(h, w, b, stride, 1))
-            stage_outs.append(h)
-
         agg = None
-        for (w, b), stage in zip(self.proj_weights, stage_outs):
-            proj = conv2d(stage, w, b, stride=stage.shape[1] // target)
-            agg = proj if agg is None else agg + proj
+        stages = zip(self.enc_weights, self.proj_weights, self.config.stage_plan)
+        for (w, b), (pw, pb), (_width, stride) in stages:
+            h = conv2d(h, w, b, stride, 1, relu=True)
+            # projected at once, so under no_grad one stage output is alive at a time
+            agg = conv2d(h, pw, pb, stride=h.shape[1] // target, acc=agg)
         return agg
 
     def decode(self, base: Tensor):

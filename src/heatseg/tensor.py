@@ -9,8 +9,8 @@ adjoints through per-operation closures.  Gradients accumulate on leaves
 the accumulator is cleared.
 
 Each graph back-propagates once.  As soon as a node's adjoint has run, its
-closure is dropped, so the arrays only the closure saved (im2col columns,
-relu masks) are freed while the pass runs; node values and parent links stay.
+closure is dropped, so the arrays only the closure saved (im2col columns) are
+freed while the pass runs; node values and parent links stay.
 A second backward from the same loss raises ``ValueError`` at its root, before
 any leaf gradient changes.
 
@@ -195,17 +195,6 @@ def tanh(x: Tensor) -> Tensor:
     return _node(out, (x,), _bw)
 
 
-def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0.0)
-    # derivative at the kink is taken as 0
-    mask = x.data > 0
-
-    def _bw(g):
-        return (g * mask,)
-
-    return _node(out, (x,), _bw)
-
-
 # ---------------------------------------------------------------------------
 # shape and structure
 
@@ -343,13 +332,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), _bw)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
+           relu: bool = False, acc: Optional[Tensor] = None) -> Tensor:
     """Cross-correlate a channels-last (B, H, W, C) input with an (O, C, kh, kw)
     kernel and add the (O,) bias; the output is (B, oh, ow, O).
 
     The input is unrolled into (B*oh*ow, kh*kw*C) columns, so the forward and
     the weight gradient are one GEMM each over every output pixel of the batch.
     A 1x1 unpadded kernel reads its (strided) input itself as the columns.
+
+    ``relu=True`` clamps the output in place and masks the adjoint with
+    ``out > 0`` (0 at the kink); ``acc`` adds an output-shaped tensor in place
+    after the bias and takes the output gradient.  They do not combine.
 
     The input gradient is taken per kernel tap (u, v): one GEMM of the
     (pixels, O) output gradient against that tap's (C, O) block of the kernel
@@ -376,6 +370,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     ow = (width + 2 * p - kw) // s + 1
     if oh < 1 or ow < 1:
         raise ValueError(f"conv2d output extents ({oh}, {ow}) are not positive")
+    if acc is not None and (relu or acc.shape != (batch, oh, ow, cout)):
+        raise ValueError(
+            f"conv2d acc must be {(batch, oh, ow, cout)} without relu, got {acc.shape}")
 
     pointwise = kh == kw == 1 and p == 0
     # columns run over (u, v, c), the kernel's rows likewise
@@ -386,11 +383,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         xp = np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0)))
         win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::s, ::s]
         cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * cin)
+        del xp, win  # dead once copied into the columns; freed before the GEMM
     out = cols @ wmat
     out += bd
+    if acc is not None:
+        out += acc.data.reshape(-1, cout)
+    if relu:
+        np.maximum(out, 0.0, out=out)
 
     def _bw(g):
         g2 = g.reshape(-1, cout)
+        if relu:
+            g2 = g2 * (out > 0)
         gx = gw = gb = None
         if w.requires_grad:
             gw = (cols.T @ g2).reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1)
@@ -406,9 +410,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
                 for (u, oi, yi), (v, oj, xj) in itertools.product(rows, spans):
                     tap = (g2 @ taps[u, v].T).reshape(batch, oh, ow, cin)
                     gx[:, yi, xj] += tap[:, oi, oj]
-        return (gx, gw, gb)
+        return (gx, gw, gb) if acc is None else (gx, gw, gb, g)
 
-    return _node(out.reshape(batch, oh, ow, cout), (x, w, b), _bw)
+    parents = (x, w, b) if acc is None else (x, w, b, acc)
+    return _node(out.reshape(batch, oh, ow, cout), parents, _bw)
 
 
 def _tap_spans(k_n: int, n: int, out_n: int, s: int, p: int) -> list:
@@ -471,7 +476,7 @@ def backward(loss: Tensor) -> None:
                 continue
             prev = grads.get(id(parent))
             grads[id(parent)] = pg if prev is None else prev + pg
-        # frees what only the closure held (columns, masks) while the pass runs
+        # frees what only the closure held (im2col columns) while the pass runs
         t._backward_fn = _released
 
 

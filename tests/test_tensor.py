@@ -54,7 +54,11 @@ class TestForward:
     def test_pointwise_reference_values(self):
         x = rand((5,), 3, lo=0.1, hi=2.0)
         np.testing.assert_allclose(T.tanh(T.Tensor(x)).data, np.tanh(x), rtol=1e-15)
-        np.testing.assert_array_equal(T.relu(T.Tensor(x - 1.0)).data, np.maximum(x - 1.0, 0))
+        # relu is fused into conv2d; an identity 1x1 kernel passes x - 1 through
+        one = T.Tensor(np.ones((1, 1, 1, 1)))
+        got = T.conv2d(T.Tensor((x - 1.0).reshape(1, 1, 5, 1)), one, T.Tensor(np.zeros(1)),
+                       relu=True)
+        np.testing.assert_array_equal(got.data.reshape(5), np.maximum(x - 1.0, 0))
 
     def test_softmax_rows_sum_to_one_and_shift_invariance(self):
         x = rand((4, 6), 4, lo=-5, hi=5)
@@ -169,6 +173,80 @@ class TestForward:
         arrays = [a for a in held if isinstance(a, np.ndarray)]
         assert arrays, "the closure should hold the columns"
         assert all(a.shape != (2, 8, 8, 3) for a in arrays)
+
+
+def relu_reference(x):
+    """The unfused relu node: np.maximum forward, adjoint masked by a kept x > 0."""
+    mask = x.data > 0
+    return T._node(np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
+
+
+# (kernel extent, stride, padding) of the encoder's stages and projections
+ENCODER_KERNELS = [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)]
+
+
+class TestFusedEpilogues:
+    """conv2d's relu and acc epilogues against the unfused chains they
+    replace: the same value and the same adjoints, bit for bit."""
+
+    @staticmethod
+    def run(build, leaves, dtype):
+        for t in leaves:
+            t.grad = None
+        out = build()
+        r = T.Tensor(rand(out.shape, 30).astype(dtype))
+        T.reduce(T.mul(out, r), kind="sum").backward()
+        return [out.data] + [t.grad for t in leaves]
+
+    @staticmethod
+    def conv_leaves(dtype, k):
+        x = T.Tensor(rand((2, 8, 8, 6), 31).astype(dtype), requires_grad=True)
+        w = T.Tensor(rand((5, 6, k, k), 32).astype(dtype), requires_grad=True)
+        b = T.Tensor(rand((5,), 33).astype(dtype), requires_grad=True)
+        return x, w, b
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, stride, padding", ENCODER_KERNELS)
+    def test_relu_matches_unfused_bitwise(self, dtype, k, stride, padding):
+        x, w, b = self.conv_leaves(dtype, k)
+        fused = self.run(lambda: T.conv2d(x, w, b, stride, padding, relu=True), [x, w, b], dtype)
+        unfused = self.run(
+            lambda: relu_reference(T.conv2d(x, w, b, stride, padding)), [x, w, b], dtype
+        )
+        assert fused[0].dtype == dtype and 0 < (fused[0] > 0).mean() < 1
+        for got, want in zip(fused, unfused):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, stride, padding", ENCODER_KERNELS)
+    def test_acc_matches_unfused_bitwise(self, dtype, k, stride, padding):
+        x, w, b = self.conv_leaves(dtype, k)
+        oh = (8 + 2 * padding - k) // stride + 1
+        t = T.Tensor(rand((2, oh, oh, 5), 34).astype(dtype), requires_grad=True)
+        leaves = [x, w, b, t]
+        fused = self.run(lambda: T.conv2d(x, w, b, stride, padding, acc=t), leaves, dtype)
+        unfused = self.run(lambda: T.add(t, T.conv2d(x, w, b, stride, padding)), leaves, dtype)
+        for got, want in zip(fused, unfused):
+            np.testing.assert_array_equal(got, want)
+
+    def test_relu_with_acc_raises(self):
+        x, w, b = self.conv_leaves(np.float64, 1)
+        t = T.Tensor(np.zeros((2, 8, 8, 5)))
+        with pytest.raises(ValueError, match="without relu"):
+            T.conv2d(x, w, b, relu=True, acc=t)
+
+    def test_acc_shape_mismatch_raises(self):
+        x, w, b = self.conv_leaves(np.float64, 1)
+        with pytest.raises(ValueError, match=r"acc must be \(2, 4, 4, 5\)"):
+            T.conv2d(x, w, b, stride=2, acc=T.Tensor(np.zeros((2, 8, 8, 5))))
+
+    def test_encoder_graph_is_two_conv2d_nodes_per_stage(self):
+        cfg = RunConfig(num_categories=3, c_feat=12, c_class=6, encoder_widths=(6, 8))
+        model = SegModel(cfg.model_config(), seed=0)
+        base = model.encoder_forward(T.Tensor(rand((2, 3, 16, 16), 35, 0.0, 1.0)))
+        ops = [n._backward_fn.__qualname__ for n in T.ancestors_in_order(base)
+               if n._backward_fn is not None]
+        assert ops == ["conv2d.<locals>._bw"] * (2 * len(cfg.model_config().stage_plan))
 
 
 def conv_naive(x, w, bias, stride, padding):
@@ -429,7 +507,8 @@ class TestRelease:
             out.logits, labels, out.scores_per_layer, out.embeddings_per_layer, cfg
         )
         nodes = T.ancestors_in_order(loss)
-        # conv2d columns and relu masks live only in their closures
+        # conv2d columns live only in their closures; the fused relu reads
+        # its mask from the node's own output
         assert sum(1 for n in nodes if held_arrays(n)) > 10
         loss.backward()
         assert [n for n in nodes if held_arrays(n)] == []
