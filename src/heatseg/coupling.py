@@ -24,6 +24,8 @@ import numpy as np
 
 from .tensor import (
     Tensor,
+    _node,
+    _unbroadcast,
     concat,
     gather,
     matmul,
@@ -183,15 +185,30 @@ def modulate_and_fuse(
         feats * (soft @ (alpha + (1 - alpha) * gamma)) + soft @ ((1 - alpha) * beta).
 
     The scalar blend thus acts on the small (..., N, c_feat) scale and shift,
-    and the (..., P, c_feat) features see one product and one sum; no
-    (..., P, N, c_feat) intermediate is formed either.
+    and no (..., P, N, c_feat) intermediate is formed.  The pixel mix is one
+    graph node holding one (..., P, c_feat) value; for an output gradient g its
+    adjoint recomputes the N-term soft @ scale:
+
+        d feats = g * (soft @ scale),   d soft = g @ shift^T + (g * feats) @ scale^T,
+        d scale = soft^T @ (g * feats), d shift = soft^T @ g,
+
+    each the numpy expression that mul, matmul and add evaluate, so value and
+    gradients equal those of the unfused chain bit for bit.
     """
     soft = softmax_axis(scores, axis=-1)
     alpha = sigmoid(blend)
     keep = 1.0 - alpha
     scale = alpha + mul(keep, gamma)
     shift = mul(keep, beta)
-    return mul(feats, matmul(soft, scale)) + matmul(soft, shift)
+    f, s, a, b = feats.data, soft.data, scale.data, shift.data
+
+    def _bw(g):
+        gf, s_t = g * f, np.swapaxes(s, -1, -2)
+        d_soft = g @ np.swapaxes(b, -1, -2) + gf @ np.swapaxes(a, -1, -2)
+        return (_unbroadcast(g * (s @ a), f.shape), _unbroadcast(d_soft, s.shape),
+                _unbroadcast(s_t @ gf, a.shape), _unbroadcast(s_t @ g, b.shape))
+
+    return _node(f * (s @ a) + s @ b, (feats, soft, scale, shift), _bw)
 
 
 def coupling_forward(feats: Tensor, emb: Tensor, params: CouplingParams, ratio: float, eps: float):

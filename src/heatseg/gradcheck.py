@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
-from .coupling import CouplingParams, coupling_forward
+from .coupling import CouplingParams, coupling_forward, modulate_and_fuse
 from .losses import ce_dice_loss, label_counts, total_loss
 from .model import SegModel
 from .optim import zero_grad
@@ -197,6 +197,14 @@ def op_checks(seed: int = 0, eps: float = DEFAULT_EPS) -> List[CheckResult]:
     t2 = _leaf(rng, (3, 4))
     rshp = rng.standard_normal((4, 3))
     run("op.reshape", lambda: _project(T.reshape(t2, (4, 3)), rshp), [("x", t2)])
+
+    # 2 images of 5 pixels, 4 categories, 3 channels; the 8x projection lifts
+    # every gradient to order 1, above max_rel_err's absolute floor
+    mf, mg, mb = _leaf(rng, (2, 5, 3)), _leaf(rng, (2, 4, 3), 0.1, 1.9), _leaf(rng, (2, 4, 3))
+    ms, mbl = _leaf(rng, (2, 5, 4), -2.0, 2.0), _leaf(rng, ())
+    rmf = rng.standard_normal((2, 5, 3)) * 8.0
+    run("op.modulate_and_fuse", lambda: _project(modulate_and_fuse(mf, mg, mb, ms, mbl), rmf),
+        [("feats", mf), ("gamma", mg), ("beta", mb), ("scores", ms), ("blend", mbl)])
 
     return results
 

@@ -5,6 +5,7 @@ modulated variants pixel by pixel, so the factored implementation has an
 independent oracle.  The smaller pieces get closed-form and boundary checks.
 """
 import numpy as np
+import pytest
 
 from heatseg import tensor as T
 from heatseg.config import parse_run_config
@@ -195,6 +196,50 @@ class TestPieces:
         for name, grad in ref_grads.items():
             assert leaves[name].grad.shape == np.shape(grad), name
             np.testing.assert_allclose(leaves[name].grad, grad, rtol=0, atol=1e-12, err_msg=name)
+
+
+class TestFusedMix:
+    """The pixel mix of modulate_and_fuse, one graph node, against the
+    mul/matmul/add chain it replaces: the same value and the same adjoints,
+    bit for bit, for batched (B, P, C) and unbatched (P, C) features."""
+
+    @staticmethod
+    def mix(feats, soft, scale, shift):
+        return T.add(T.mul(feats, T.matmul(soft, scale)), T.matmul(soft, shift))
+
+    def chain(self, feats, gamma, beta, scores, blend):
+        soft = T.softmax_axis(scores, axis=-1)
+        alpha = T.sigmoid(blend)
+        keep = 1.0 - alpha
+        return self.mix(feats, soft, alpha + T.mul(keep, gamma), T.mul(keep, beta))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(2,), ()], ids=["batched", "unbatched"])
+    def test_mix_matches_chain_bitwise(self, dtype, lead):
+        p, n, c = 10, 3, 4
+        arrays = [rand(lead + (p, c), 40), rand(lead + (n, c), 41, 0.1, 1.9),
+                  rand(lead + (n, c), 42), rand(lead + (p, n), 43, -2, 2), np.asarray(0.4)]
+        r = rand(lead + (p, c), 44).astype(dtype)
+
+        def run(build):
+            leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+            out = build(*leaves)
+            T.reduce(T.mul(out, Tensor(r)), kind="sum").backward()
+            return [out.data] + [t.grad for t in leaves]
+
+        fused = run(modulate_and_fuse)
+        for got, want in zip(fused, run(self.chain)):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+        # the node's four adjoints, from its own parents (feats, soft, scale, shift)
+        out = modulate_and_fuse(*(Tensor(a.astype(dtype), requires_grad=True) for a in arrays))
+        parents = [Tensor(t.data, requires_grad=True) for t in out._parents]
+        ref = self.mix(*parents)
+        T.reduce(T.mul(ref, Tensor(r)), kind="sum").backward()
+        np.testing.assert_array_equal(out.data, ref.data)
+        for got, want in zip(out._backward_fn(r), parents):
+            np.testing.assert_array_equal(got, want.grad)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from heatseg.coupling import coupling_forward
 from heatseg.config import RunConfig
 from heatseg.losses import total_loss
 from heatseg.model import SegModel
-from heatseg.tensor import Tensor, softmax_axis
+from heatseg.tensor import Tensor, ancestors_in_order, softmax_axis
 
 
 def small_config(**overrides):
@@ -208,3 +208,15 @@ class TestParameters:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     stack.append(parent)
+
+    def test_graph_keeps_one_pixel_feature_value_per_layer(self):
+        # the base features plus one pixel mix node per coupling layer; no
+        # other (B, P, c_feat) value is kept for backward
+        layers = 3
+        model = SegModel(small_config(decoder_layers=layers), seed=20)
+        out = model.forward(Tensor(images(seed=14)))
+        labels = np.random.default_rng(15).integers(0, 3, size=(2, 16, 16))
+        loss, _ = total_loss(out.logits, labels, out.scores_per_layer,
+                             out.embeddings_per_layer, RunConfig())
+        held = [n for n in ancestors_in_order(loss) if n._parents and n.shape == (2, 16, 12)]
+        assert len(held) == layers + 1

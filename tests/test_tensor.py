@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from heatseg import losses
+from heatseg import coupling, losses
 from heatseg import tensor as T
 from heatseg.config import RunConfig
 from heatseg.gradcheck import max_rel_err, numerical_grad, op_checks
@@ -311,11 +311,12 @@ class TestBackward:
         # every public function that builds a graph node needs a row named
         # op.<fn> (leaf rows read op.<fn>.<leaf>) or op.<fn>_<variant>
         ops = [
-            name for module in (T, losses) for name, fn in vars(module).items()
+            name for module in (T, losses, coupling) for name, fn in vars(module).items()
             if inspect.isfunction(fn) and fn.__module__ == module.__name__
             and not name.startswith("_") and "_node(" in inspect.getsource(fn)
         ]
-        assert {"add", "div", "sigmoid", "gather", "conv2d", "ce_dice_loss"} <= set(ops)
+        assert {"add", "div", "sigmoid", "gather", "conv2d", "ce_dice_loss",
+                "modulate_and_fuse"} <= set(ops)
         rows = [r.name for r in op_checks(seed=0)]
         missing = [op for op in ops
                    if not any(row.startswith((f"op.{op}.", f"op.{op}_")) for row in rows)]
