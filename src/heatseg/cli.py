@@ -30,7 +30,9 @@ from .data import (
     batches,
     load_dataset,
     load_ppm,
+    load_sample,
     pixel_frequencies,
+    read_manifest,
     save_dataset,
     save_pgm,
     stack_batch,
@@ -224,11 +226,13 @@ def cmd_eval(args) -> int:
         # labels are bytes, so such an index would exclude nothing
         return _fail(f"--ignore-index must be in 0..255, got {args.ignore_index}")
     model, cfg = _model_from_checkpoint(args.ckpt)
-    samples = load_dataset(args.data)
+    entries = read_manifest(args.data)
     ignore = args.ignore_index if args.ignore_index is not None else cfg.ignore_index
     cm = ConfusionMatrix(cfg.num_categories)
-    for batch in batches(samples, cfg.batch_size, seed=0, shuffle=False):
-        images, labels = stack_batch(batch, dtype=cfg.dtype)
+    # each batch is read just before it is stacked, so one batch of samples is
+    # resident at a time, whatever the size of the split
+    for batch in batches(entries, cfg.batch_size, seed=0, shuffle=False):
+        images, labels = stack_batch([load_sample(e) for e in batch], dtype=cfg.dtype)
         preds = model.predict(images)
         cm.accumulate(preds, labels.astype(np.int64), ignore_index=ignore)
     print(json.dumps(summarize(cm)))

@@ -14,10 +14,11 @@ On disk a dataset is a directory with images/*.ppm (binary P6), masks/*.pgm
 """
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -226,7 +227,8 @@ _DIGITS = re.compile(rb"[0-9]*")
 
 
 def _parse_netpbm(path, expected_magic: bytes) -> Tuple[np.ndarray, int, int]:
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        data = f.read()
     if data[:2] != expected_magic:
         raise DataError(
             f"{path}: offset 0: expected {expected_magic.decode()} magic, found {data[:2]!r}"
@@ -288,12 +290,22 @@ def save_dataset(samples: Sequence[SegSample], out_dir) -> None:
         f.writelines(lines)
 
 
-def load_dataset(root) -> List[SegSample]:
-    root = Path(root)
-    manifest = root / "index.txt"
-    if not manifest.is_file():
+class ManifestEntry(NamedTuple):
+    """One manifest line: the file paths of a sample and where they were listed."""
+
+    manifest: str
+    lineno: int
+    image: str
+    mask: str
+
+
+def read_manifest(root) -> List[ManifestEntry]:
+    """The samples a dataset directory lists, as paths; no image is read."""
+    root = str(Path(root))
+    manifest = os.path.join(root, "index.txt")
+    if not os.path.isfile(manifest):
         raise DataError(f"{manifest}: manifest not found")
-    samples = []
+    entries = []
     with open(manifest, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
@@ -302,17 +314,27 @@ def load_dataset(root) -> List[SegSample]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise DataError(f"{manifest}: line {lineno}: expected 'image<TAB>mask'")
-            image = load_ppm(root / parts[0])
-            label = load_pgm(root / parts[1])
-            if image.shape[1:] != label.shape:
-                raise DataError(
-                    f"{manifest}: line {lineno}: image extents {image.shape[1:]} "
-                    f"do not match mask extents {label.shape}"
-                )
-            samples.append(SegSample(image=image, label=label))
-    if not samples:
+            # plain strings: pathlib cost about as much as parsing the file
+            image, mask = os.path.join(root, parts[0]), os.path.join(root, parts[1])
+            entries.append(ManifestEntry(manifest, lineno, image, mask))
+    if not entries:
         raise DataError(f"{manifest}: manifest lists no samples")
-    return samples
+    return entries
+
+
+def load_sample(entry: ManifestEntry) -> SegSample:
+    image = load_ppm(entry.image)
+    label = load_pgm(entry.mask)
+    if image.shape[1:] != label.shape:
+        raise DataError(
+            f"{entry.manifest}: line {entry.lineno}: image extents {image.shape[1:]} "
+            f"do not match mask extents {label.shape}"
+        )
+    return SegSample(image=image, label=label)
+
+
+def load_dataset(root) -> List[SegSample]:
+    return [load_sample(entry) for entry in read_manifest(root)]
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +349,14 @@ def epoch_order(num_samples: int, seed: int, shuffle: bool, epoch: int) -> List[
 
 
 def batches(
-    samples: Sequence[SegSample],
+    samples: Sequence,
     batch_size: int,
     seed: int,
     shuffle: bool,
     epoch: int = 0,
-) -> List[List[SegSample]]:
-    """Deterministic batches for one epoch; a short final batch is kept."""
+) -> List[list]:
+    """Deterministic batches of samples, or of the manifest entries that
+    ``load_sample`` reads, for one epoch; a short final batch is kept."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     order = epoch_order(len(samples), seed, shuffle, epoch)

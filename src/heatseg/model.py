@@ -9,7 +9,8 @@ stage output is projected to c_feat by a 1x1 convolution as soon as it is
 computed, strided down to the aggregation scale H/factor x W/factor (the
 strided stages come first, so no stage is coarser), and summed into the
 (B, H', W', c_feat) base feature map.  ``conv2d`` applies the relu and adds
-the running sum in place, so a stage is two ``conv2d`` nodes and nothing else.
+the running sum in place, and each projection takes over the previous sum's
+node, so the graph is one ``conv2d`` node per stage and one for the sum.
 
 Decoding reshapes the base map to contiguous (B, P, c_feat) pixel features
 without a transpose, broadcasts a learnable, input-independent embedding table

@@ -343,7 +343,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
 
     ``relu=True`` clamps the output in place and masks the adjoint with
     ``out > 0`` (0 at the kink); ``acc`` adds an output-shaped tensor in place
-    after the bias and takes the output gradient.  They do not combine.
+    after the bias and takes the output gradient.  They do not combine.  An
+    ``acc`` recorded by an op hands this node its parents and adjoint, which
+    runs inside this one, so the graph does not keep its value: no adjoint
+    reads it, and a chain of running sums keeps only the last.
 
     The input gradient is taken per kernel tap (u, v): one GEMM of the
     (pixels, O) output gradient against that tap's (C, O) block of the kernel
@@ -386,15 +389,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
         del xp, win  # dead once copied into the columns; freed before the GEMM
     out = cols @ wmat
     out += bd
+    # parents past (x, w, b) and their adjoint from the output gradient
+    tail, tail_bw = (), lambda g: ()
     if acc is not None:
         out += acc.data.reshape(-1, cout)
-    if relu:
-        np.maximum(out, 0.0, out=out)
+        if acc._backward_fn is None:
+            tail, tail_bw = (acc,), lambda g: (g,)
+        else:
+            tail, tail_bw = acc._parents, acc._backward_fn
+    # the closure must hold neither acc nor a non-relu output, or the values
+    # this node spares would stay reachable
+    relu_out = np.maximum(out, 0.0, out=out) if relu else None
 
     def _bw(g):
         g2 = g.reshape(-1, cout)
-        if relu:
-            g2 = g2 * (out > 0)
+        if relu_out is not None:
+            g2 = g2 * (relu_out > 0)
         gx = gw = gb = None
         if w.requires_grad:
             gw = (cols.T @ g2).reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1)
@@ -410,10 +420,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
                 for (u, oi, yi), (v, oj, xj) in itertools.product(rows, spans):
                     tap = (g2 @ taps[u, v].T).reshape(batch, oh, ow, cin)
                     gx[:, yi, xj] += tap[:, oi, oj]
-        return (gx, gw, gb) if acc is None else (gx, gw, gb, g)
+        return (gx, gw, gb, *tail_bw(g))
 
-    parents = (x, w, b) if acc is None else (x, w, b, acc)
-    return _node(out.reshape(batch, oh, ow, cout), parents, _bw)
+    return _node(out.reshape(batch, oh, ow, cout), (x, w, b, *tail), _bw)
 
 
 def _tap_spans(k_n: int, n: int, out_n: int, s: int, p: int) -> list:
@@ -438,14 +447,29 @@ def _tap_spans(k_n: int, n: int, out_n: int, s: int, p: int) -> list:
 def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries along the last axis, ties toward the lower index.
 
-    Leading axes are independent rows, so one call selects for every row.
+    Leading axes are independent rows, so one call selects for every row.  The
+    result equals the first k of a stable descending argsort: ``np.partition``
+    finds each row's k-th value, every entry above it is taken, then the
+    lowest-index entries equal to it, and only those k are sorted.
     """
     if values.ndim < 1:
         raise ValueError("topk_indices expects at least a 1-d array")
-    if not 1 <= k <= values.shape[-1]:
-        raise ValueError(f"k={k} out of range for length {values.shape[-1]}")
-    order = np.argsort(-values, axis=-1, kind="stable")
-    return order[..., :k].astype(np.int64)
+    n = values.shape[-1]
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range for length {n}")
+    neg = -values.reshape(-1, n)
+    kth = np.partition(neg, k - 1, axis=-1)[:, k - 1 : k]
+    # with k = n the sort is all the work; NaN sorts last but equals nothing
+    if k == n or np.isnan(kth).any():
+        order = np.argsort(neg, axis=-1, kind="stable")[:, :k]
+    else:
+        above = neg < kth
+        ties = neg == kth
+        ties &= np.cumsum(ties, axis=-1) <= k - above.sum(axis=-1, keepdims=True)
+        picks = np.nonzero(above | ties)[1].reshape(-1, k)
+        rank = np.argsort(np.take_along_axis(neg, picks, axis=-1), axis=-1, kind="stable")
+        order = np.take_along_axis(picks, rank, axis=-1)
+    return order.reshape(values.shape[:-1] + (k,)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

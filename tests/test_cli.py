@@ -4,16 +4,27 @@ Results go to stdout as JSON, diagnostics to stderr, and the exit code is the
 contract: 0 on success, 1 on a failed check, 2 on bad input.
 """
 import json
+import shutil
+import weakref
 
 import numpy as np
 import pytest
 
-from heatseg import cli
+from heatseg import cli, data
 from heatseg.checkpoint import load_checkpoint, save_checkpoint
 from heatseg.cli import main
 from heatseg.config import load_run_config
-from heatseg.data import load_dataset, load_pgm, load_ppm, save_dataset, save_ppm, to_unit
+from heatseg.data import (
+    load_dataset,
+    load_pgm,
+    load_ppm,
+    save_dataset,
+    save_pgm,
+    save_ppm,
+    to_unit,
+)
 from heatseg.losses import total_loss
+from heatseg.metrics import ConfusionMatrix, summarize
 from heatseg.model import SegModel
 from heatseg.tensor import Tensor, no_grad
 
@@ -287,6 +298,67 @@ class TestEval:
 
     def test_missing_checkpoint_exits_two(self, tiny_data_dir, capsys):
         assert main(["eval", "--ckpt", "/nonexistent", "--data", str(tiny_data_dir)]) == 2
+
+    def test_holds_one_batch_of_samples_at_a_time(self, trained, tiny_data_dir, capsys,
+                                                 monkeypatch):
+        live, peak = [0], [0]
+
+        def released():
+            live[0] -= 1
+
+        class Counted(data.SegSample):
+            def __init__(self, **fields):
+                super().__init__(**fields)
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+                weakref.finalize(self, released)
+
+        monkeypatch.setattr(data, "SegSample", Counted)
+        assert main(["eval", "--ckpt", str(trained), "--data", str(tiny_data_dir)]) == 0
+        # six samples in batches of two (the tiny config's batch size)
+        assert peak[0] == 2 and live[0] == 0
+
+    @pytest.mark.parametrize("mask, message", [
+        (np.zeros((8, 8), dtype=np.uint8), "index.txt: line 6: image extents (16, 16) "
+                                           "do not match mask extents (8, 8)"),
+        (None, "msk_00005.pgm: offset 0: expected P5 magic"),
+    ], ids=["extents", "magic"])
+    def test_bad_mask_in_the_last_batch_exits_two_after_the_others(
+            self, trained, tiny_data_dir, tmp_path, capsys, monkeypatch, mask, message):
+        root = tmp_path / "data"
+        shutil.copytree(tiny_data_dir, root)
+        if mask is None:
+            (root / "masks" / "msk_00005.pgm").write_bytes(b"P2\n")
+        else:
+            save_pgm(root / "masks" / "msk_00005.pgm", mask)
+        predict = cli.SegModel.predict
+        calls = []
+        monkeypatch.setattr(cli.SegModel, "predict",
+                            lambda self, x: calls.append(len(x)) or predict(self, x))
+        assert main(["eval", "--ckpt", str(trained), "--data", str(root)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        # the manifest was read up front; the first two batches ran before the bad one
+        assert calls == [2, 2]
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_json_equals_the_all_in_memory_pass(self, tmp_path, tiny_config, tiny_data_dir,
+                                                capsys, precision):
+        ckpt = tmp_path / "model.ckpt"
+        cfg_path = tiny_config(precision=precision, decoder_layers=2)
+        assert main(["train", "--config", str(cfg_path), "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(tiny_data_dir)]) == 0
+        streamed = capsys.readouterr().out
+
+        model, cfg = cli._model_from_checkpoint(ckpt)
+        cm = ConfusionMatrix(cfg.num_categories)
+        for batch in data.batches(load_dataset(tiny_data_dir), cfg.batch_size, 0, False):
+            images, labels = data.stack_batch(batch, dtype=cfg.dtype)
+            cm.accumulate(model.predict(images), labels.astype(np.int64),
+                          ignore_index=cfg.ignore_index)
+        assert model.dtype == cfg.dtype
+        assert streamed == json.dumps(summarize(cm)) + "\n"
 
 
 @pytest.fixture()

@@ -229,6 +229,45 @@ class TestFusedEpilogues:
         for got, want in zip(fused, unfused):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_acc_chain_matches_separate_sums_bitwise(self, dtype):
+        # three links of the encoder's running sum, each adding one projection
+        links = [((2, 8, 8, 6), 1, 2, 0), ((2, 4, 4, 6), 1, 1, 0), ((2, 4, 4, 6), 3, 1, 1)]
+        leaves = []
+        for i, (shape, k, _, _) in enumerate(links):
+            leaves += [T.Tensor(rand(shape, 40 + i).astype(dtype), requires_grad=True),
+                       T.Tensor(rand((5, 6, k, k), 50 + i).astype(dtype), requires_grad=True),
+                       T.Tensor(rand((5,), 60 + i).astype(dtype), requires_grad=True)]
+
+        def chain(fused):
+            total = None
+            for i, (_, _, stride, padding) in enumerate(links):
+                x, w, b = leaves[3 * i : 3 * i + 3]
+                if fused:
+                    total = T.conv2d(x, w, b, stride, padding, acc=total)
+                else:
+                    term = T.conv2d(x, w, b, stride, padding)
+                    total = term if total is None else T.add(total, term)
+            return total
+
+        fused = self.run(lambda: chain(True), leaves, dtype)
+        unfused = self.run(lambda: chain(False), leaves, dtype)
+        assert fused[0].dtype == dtype and all(g is not None for g in fused[1:])
+        for got, want in zip(fused, unfused):
+            np.testing.assert_array_equal(got, want)
+
+    def test_acc_chain_keeps_no_dead_partial_sum(self):
+        x, w, b = self.conv_leaves(np.float64, 1)
+        total = None
+        for seed in range(3):
+            total = T.conv2d(leaf(x.shape, 70 + seed), w, b, acc=total)
+        # the last link's adjoint runs the earlier ones; the graph holds none
+        # of their sums, in a parent link or a closure cell
+        assert [p.shape for p in total._parents] == [x.shape, w.shape, b.shape] * 3
+        partial = [a for a in reachable_arrays(total)
+                   if a.size == total.data.size and not np.shares_memory(a, total.data)]
+        assert partial == []
+
     def test_relu_with_acc_raises(self):
         x, w, b = self.conv_leaves(np.float64, 1)
         t = T.Tensor(np.zeros((2, 8, 8, 5)))
@@ -240,13 +279,35 @@ class TestFusedEpilogues:
         with pytest.raises(ValueError, match=r"acc must be \(2, 4, 4, 5\)"):
             T.conv2d(x, w, b, stride=2, acc=T.Tensor(np.zeros((2, 8, 8, 5))))
 
-    def test_encoder_graph_is_two_conv2d_nodes_per_stage(self):
+    def test_encoder_graph_is_one_conv2d_node_per_stage_and_the_sum(self):
         cfg = RunConfig(num_categories=3, c_feat=12, c_class=6, encoder_widths=(6, 8))
         model = SegModel(cfg.model_config(), seed=0)
         base = model.encoder_forward(T.Tensor(rand((2, 3, 16, 16), 35, 0.0, 1.0)))
         ops = [n._backward_fn.__qualname__ for n in T.ancestors_in_order(base)
                if n._backward_fn is not None]
-        assert ops == ["conv2d.<locals>._bw"] * (2 * len(cfg.model_config().stage_plan))
+        # each stage's relu conv2d, then one node for all the projections' sum
+        assert ops == ["conv2d.<locals>._bw"] * (len(cfg.model_config().stage_plan) + 1)
+
+
+def reachable_arrays(root):
+    """Every array the graph under ``root`` keeps alive: node values, closure
+    cells, nested adjoints and the buffers behind views."""
+    seen, arrays, stack = set(), [], [root]
+    while stack:
+        obj = stack.pop()
+        if obj is None or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            stack.append(obj.base)
+        elif isinstance(obj, T.Tensor):
+            stack += [obj.data, obj._backward_fn, *obj._parents]
+        elif isinstance(obj, tuple):
+            stack += obj
+        elif callable(obj):
+            stack += [c.cell_contents for c in getattr(obj, "__closure__", None) or ()]
+    return arrays
 
 
 def conv_naive(x, w, bias, stride, padding):
@@ -287,6 +348,21 @@ class TestTopK:
         assert got.shape == (3, 1, 5)
         for i in range(3):
             np.testing.assert_array_equal(got[i, 0], np.argsort(-rows[i, 0], kind="stable")[:5])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_partition_matches_stable_argsort_on_forced_ties(self, dtype):
+        # few distinct values, so the k-th value is tied in almost every row;
+        # signed zeros, infinities and NaN sort as argsort sorts them
+        v = np.round(rand((4, 3, 64), 14) * 2.0).astype(dtype)
+        v[0, 0, ::5] = -0.0
+        v[1, 1, ::7] = np.inf
+        v[2, 0, ::3] = -np.inf
+        v[3, 2, ::2] = np.nan
+        for k in (1, 2, 5, 21, 32, 40, 63, 64):
+            want = np.argsort(-v, axis=-1, kind="stable")[..., :k]
+            got = T.topk_indices(v, k)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
 
     def test_k_bounds(self):
         with pytest.raises(ValueError, match="out of range"):
