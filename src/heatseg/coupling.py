@@ -114,7 +114,7 @@ def normalize_region(heat: Tensor, region: np.ndarray, eps: float) -> Tensor:
     ``region``.
     """
     selected = gather(heat, region, axis=-1)
-    denom = reduce(selected, axis=-1, kind="sum", keepdims=True) + eps
+    denom = reduce(selected, axis=-1, keepdims=True) + eps
     return selected / denom
 
 
@@ -135,7 +135,7 @@ def pool_context(
     selected = gather(feats, region, axis=-2)
     projected = matmul(selected, w_context) + b_context
     weighted = mul(projected, reshape(weights, weights.shape + (1,)))
-    return reduce(weighted, axis=-2, kind="sum")
+    return reduce(weighted, axis=-2)
 
 
 def gated_update(emb_prev: Tensor, contexts: Tensor, w_gate: Tensor, b_gate: Tensor):

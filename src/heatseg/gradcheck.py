@@ -22,7 +22,7 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .coupling import CouplingParams, coupling_forward, modulate_and_fuse
-from .losses import ce_dice_loss, label_counts, total_loss
+from .losses import ce_dice_loss, fisher_loss, label_counts, total_loss
 from .model import SegModel
 from .optim import zero_grad
 from .tensor import Tensor, no_grad
@@ -94,7 +94,7 @@ def _leaf(rng: np.random.Generator, shape, lo=-1.0, hi=1.0) -> Tensor:
 
 def _project(out: Tensor, r: np.ndarray) -> Tensor:
     # random projection makes the loss sensitive to every output element
-    return T.reduce(T.mul(out, Tensor(r)), kind="sum")
+    return T.reduce(T.mul(out, Tensor(r)))
 
 
 def op_checks(seed: int = 0, eps: float = DEFAULT_EPS) -> List[CheckResult]:
@@ -135,13 +135,13 @@ def op_checks(seed: int = 0, eps: float = DEFAULT_EPS) -> List[CheckResult]:
     rr = rng.standard_normal((4,))
     run(
         "op.reduce_sum",
-        lambda: _project(T.reduce(red, axis=(0, 1), kind="sum"), rr),
+        lambda: _project(T.reduce(red, axis=(0, 1)), rr),
         [("x", red)],
     )
     rk = rng.standard_normal((2, 1, 4))
     run(
-        "op.reduce_mean",
-        lambda: _project(T.reduce(red, axis=1, kind="mean", keepdims=True), rk),
+        "op.reduce_keepdims",
+        lambda: _project(T.reduce(red, axis=1, keepdims=True), rk),
         [("x", red)],
     )
 
@@ -206,6 +206,10 @@ def op_checks(seed: int = 0, eps: float = DEFAULT_EPS) -> List[CheckResult]:
     run("op.modulate_and_fuse", lambda: _project(modulate_and_fuse(mf, mg, mb, ms, mbl), rmf),
         [("feats", mf), ("gamma", mg), ("beta", mb), ("scores", ms), ("blend", mbl)])
 
+    # 3 samples, 2 categories, 4 channels; weighted like the CE + dice row
+    fe = _leaf(rng, (3, 2, 4))
+    run("op.fisher_loss", lambda: fisher_loss([fe], 1e-6) * 8.0, [("emb", fe)])
+
     return results
 
 
@@ -218,7 +222,7 @@ def layer_checks(seed: int = 0, eps: float = DEFAULT_EPS) -> List[CheckResult]:
 
     def build():
         f_out, e_out, _ = coupling_forward(feats, emb, params, 0.2, 1e-6)
-        return T.reduce(f_out, kind="sum") + T.reduce(e_out, kind="sum")
+        return T.reduce(f_out) + T.reduce(e_out)
 
     leaves = [(name.split(".", 1)[1], p) for name, p in params.named("layer")]
     leaves += [("feats", feats), ("emb", emb)]

@@ -4,9 +4,9 @@ ratio that pushes per-category embeddings apart across the batch.
 
 The prediction and the layer scores stay on the coupled grid (H/f x W/f);
 the labels come to them as per-block counts, built once per step.
-Each CE + dice term is one graph node over its scores with a closed-form
-adjoint; its per-pixel max shift is exact because log-softmax ignores a
-constant added to one pixel's scores (see ``ce_dice_loss``).
+Each CE + dice term and each layer's scatter ratio is one graph node with a
+closed-form adjoint (see ``ce_dice_loss``, ``fisher_loss``); the CE's per-pixel
+max shift is exact as log-softmax ignores a constant added to a pixel's scores.
 
 The total is main + lambda_heatmap * heat term + lambda_fisher * scatter term.
 Zero-weight terms still enter the graph; multiplying by an exact 0.0 adds
@@ -15,13 +15,14 @@ main-only trajectory bitwise while the terms remain available for logging.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import RunConfig
-from .tensor import Tensor, _node, mul, reduce
+from .tensor import Tensor, _node, add
 
 
 def _check_labels(labels: np.ndarray, num_categories: int, ignore_index) -> np.ndarray:
@@ -127,11 +128,7 @@ def ce_dice_loss(scores: Tensor, counts: LabelCounts) -> Tensor:
 def heatmap_loss(scores_per_layer: Sequence[Tensor], counts: LabelCounts) -> Tensor:
     """Deep supervision: CE plus dice of each layer's raw scores on the coupled
     grid, summed over one or more layers."""
-    total = None
-    for scores in scores_per_layer:
-        term = ce_dice_loss(scores, counts)
-        total = term if total is None else total + term
-    return total
+    return functools.reduce(add, (ce_dice_loss(s, counts) for s in scores_per_layer))
 
 
 def fisher_loss(embeddings_per_layer: Sequence[Tensor], eps: float) -> Tensor:
@@ -143,21 +140,28 @@ def fisher_loss(embeddings_per_layer: Sequence[Tensor], eps: float) -> Tensor:
     averaged over N.  A batch of identical embeddings gives an exact zero when
     the mean reduction is exact (batches of 2 and 4); larger batches sit at
     the square of the unit roundoff because the accumulation order rounds.
+
+    Each layer's r = s_w / (s_b + eps) is one graph node.  Deviations sum to
+    zero over their own mean, so with mu the category means and mu_bar their
+    mean, its adjoint is (2 (e - mu) - r * 2 (mu - mu_bar)) / (B N (s_b + eps)).
     """
-    total = None
-    for emb in embeddings_per_layer:
+    def term(emb: Tensor) -> Tensor:
         if emb.ndim != 3:
             raise ValueError(f"expected embeddings shaped (B, N, C), got {emb.shape}")
-        batch, n = emb.shape[0], emb.shape[1]
-        cat_means = reduce(emb, axis=0, kind="mean")          # (N, C)
-        overall = reduce(cat_means, axis=0, kind="mean")      # (C,)
-        within_dev = emb - cat_means
-        s_w = reduce(mul(within_dev, within_dev), kind="sum") / float(batch * n)
-        between_dev = cat_means - overall
-        s_b = reduce(mul(between_dev, between_dev), kind="sum") / float(n)
-        term = s_w / (s_b + eps)
-        total = term if total is None else total + term
-    return total
+        count, n, dtype = emb.shape[0] * emb.shape[1], emb.shape[1], emb.dtype.type
+        cat_means = emb.data.mean(axis=0)          # (N, C)
+        within_dev = emb.data - cat_means
+        between_dev = cat_means - cat_means.mean(axis=0)
+        s_w = (within_dev * within_dev).sum() / dtype(count)
+        den = (between_dev * between_dev).sum() / dtype(n) + dtype(eps)
+        ratio = s_w / den
+
+        def _bw(g):
+            return (g * (2.0 / (count * den)) * (within_dev - ratio * between_dev),)
+
+        return _node(ratio, (emb,), _bw)
+
+    return functools.reduce(add, map(term, embeddings_per_layer))
 
 
 def total_loss(

@@ -229,21 +229,13 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _node(out, tuple(tensors), _bw)
 
 
-def reduce(x: Tensor, axis=None, kind: str = "sum", keepdims: bool = False) -> Tensor:
-    """Sum or mean over ``axis``: an int, a tuple, or None for all; numpy checks it."""
-    if kind not in ("sum", "mean"):
-        raise ValueError(f"unknown reduction kind {kind!r}")
-    if kind == "sum":
-        out = x.data.sum(axis=axis, keepdims=keepdims)
-    else:
-        out = x.data.mean(axis=axis, keepdims=keepdims)
-    # the sizes are exact, so the mean's scale is the correctly rounded 1 / count
-    scale = 1.0 if kind == "sum" else out.size / x.data.size
+def reduce(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """Sum over ``axis``: an int, a tuple, or None for all; numpy checks it."""
+    out = x.data.sum(axis=axis, keepdims=keepdims)
 
     def _bw(g):
         gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-        gg = np.broadcast_to(gg, x.data.shape)
-        return (gg * scale if kind == "mean" else gg.copy(),)
+        return (np.broadcast_to(gg, x.data.shape).copy(),)
 
     return _node(out, (x,), _bw)
 

@@ -192,7 +192,7 @@ class TestPieces:
         out = modulate_and_fuse(leaves["feats"], leaves["gamma"], leaves["beta"],
                                 leaves["scores"], leaves["blend"])
         np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
-        T.reduce(T.mul(out, Tensor(r)), kind="sum").backward()
+        T.reduce(T.mul(out, Tensor(r))).backward()
         for name, grad in ref_grads.items():
             assert leaves[name].grad.shape == np.shape(grad), name
             np.testing.assert_allclose(leaves[name].grad, grad, rtol=0, atol=1e-12, err_msg=name)
@@ -224,7 +224,7 @@ class TestFusedMix:
         def run(build):
             leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
             out = build(*leaves)
-            T.reduce(T.mul(out, Tensor(r)), kind="sum").backward()
+            T.reduce(T.mul(out, Tensor(r))).backward()
             return [out.data] + [t.grad for t in leaves]
 
         fused = run(modulate_and_fuse)
@@ -236,7 +236,7 @@ class TestFusedMix:
         out = modulate_and_fuse(*(Tensor(a.astype(dtype), requires_grad=True) for a in arrays))
         parents = [Tensor(t.data, requires_grad=True) for t in out._parents]
         ref = self.mix(*parents)
-        T.reduce(T.mul(ref, Tensor(r)), kind="sum").backward()
+        T.reduce(T.mul(ref, Tensor(r))).backward()
         np.testing.assert_array_equal(out.data, ref.data)
         for got, want in zip(out._backward_fn(r), parents):
             np.testing.assert_array_equal(got, want.grad)
@@ -324,7 +324,7 @@ class TestFullLayer:
         feats = Tensor(rand((1, 25, 5), 35), requires_grad=True)
         emb = Tensor(rand((1, 3, 4), 36), requires_grad=True)
         feats_out, emb_out, _ = coupling_forward(feats, emb, p, 0.2, 1e-6)
-        loss = T.reduce(T.mul(feats_out, feats_out), kind="sum") + T.reduce(emb_out, kind="sum")
+        loss = T.reduce(T.mul(feats_out, feats_out)) + T.reduce(emb_out)
         loss.backward()
         for name, param in p.named("layer"):
             assert param.grad is not None, f"{name} received no gradient"

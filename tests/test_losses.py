@@ -4,7 +4,8 @@ Label counts, cross entropy + dice and the scatter ratio are checked against
 slow per-element reference loops written independently of the library code;
 cross entropy + dice also gets hand worked examples, and the coupled-grid
 form is checked against the same loss on nearest-upsampled scores (upsampled
-by repeat matrices, A @ z @ A^T).  The
+by repeat matrices, A @ z @ A^T).  The scatter ratio's one-node adjoint is
+checked against the same ratio built from generic ops.  The
 combination rules (layer summation, weighting, exact behavior at zero
 weights) are checked structurally.
 """
@@ -20,7 +21,7 @@ from heatseg.losses import (
     total_loss,
 )
 from heatseg.model import SegModel
-from heatseg.tensor import Tensor, matmul
+from heatseg.tensor import Tensor, ancestors_in_order, div, matmul, mul, reduce, sub
 
 
 def rand(shape, seed=0, lo=-2.0, hi=2.0):
@@ -58,6 +59,21 @@ def fisher_oracle(emb, eps):
     s_w = float(((emb - mu_n) ** 2).sum()) / (b * n)
     s_b = float(((mu_n - mu) ** 2).sum()) / n
     return s_w / (s_b + eps)
+
+
+def fisher_op_chain(embeddings, eps):
+    # the scatter ratio from generic ops, each mean a sum over its count
+    total = None
+    for emb in embeddings:
+        b, n, _c = emb.shape
+        mu_n = reduce(emb, axis=0) / float(b)
+        mu = reduce(mu_n, axis=0) / float(n)
+        within, between = sub(emb, mu_n), sub(mu_n, mu)
+        s_w = reduce(mul(within, within)) / float(b * n)
+        s_b = reduce(mul(between, between)) / float(n)
+        term = div(s_w, s_b + eps)
+        total = term if total is None else total + term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +326,43 @@ class TestFisher:
                   + fisher_loss([Tensor(e2)], eps=1e-6).item())
         both = fisher_loss([Tensor(e1), Tensor(e2)], eps=1e-6).item()
         assert abs(both - single) < 1e-12
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("case", ["one_layer", "two_layers", "single_sample",
+                                      "collapsed_means"])
+    def test_gradient_matches_generic_op_chain(self, dtype, tol, case):
+        # per-sample constants leave every category mean equal, so the ratio
+        # divides by eps; one sample has zero within scatter and zero gradient
+        collapsed = np.zeros((2, 3, 4))
+        collapsed[1] = 2.0
+        arrays = {
+            "one_layer": [rand((4, 3, 5), 20)],
+            "two_layers": [rand((4, 3, 5), 21), rand((2, 3, 5), 22)],
+            "single_sample": [rand((1, 3, 5), 23)],
+            "collapsed_means": [collapsed],
+        }[case]
+        grads = []
+        for build in (fisher_loss, fisher_op_chain):
+            embs = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+            (build(embs, 1e-6) * 0.7).backward()
+            grads.append([e.grad for e in embs])
+        for got, want in zip(*grads):
+            assert got.dtype == dtype
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        if case == "single_sample":
+            assert not grads[0][0].any()
+
+    @pytest.mark.parametrize("layers", [1, 2, 4])
+    def test_graph_is_one_node_per_layer_plus_the_adds(self, layers):
+        embs = [Tensor(rand((3, 4, 5), 30 + i), requires_grad=True) for i in range(layers)]
+        nodes = ancestors_in_order(fisher_loss(embs, eps=1e-6))
+        leaves = [t for t in nodes if not t._parents]
+        terms = [t for t in nodes if len(t._parents) == 1]
+        adds = [t for t in nodes if len(t._parents) == 2]
+        assert [id(t) for t in leaves] == [id(e) for e in embs]
+        assert [id(t._parents[0]) for t in terms] == [id(e) for e in embs]
+        assert len(adds) == layers - 1 and len(nodes) == 3 * layers - 1
+        assert all(t._backward_fn.__qualname__.startswith("add.") for t in adds)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match=r"\(B, N, C\)"):

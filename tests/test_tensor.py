@@ -123,14 +123,12 @@ class TestForward:
 
     def test_reduce_matches_numpy(self):
         a = rand((2, 3, 4), 9)
-        np.testing.assert_allclose(T.reduce(T.Tensor(a), kind="sum").data, a.sum(), rtol=1e-14)
+        np.testing.assert_allclose(T.reduce(T.Tensor(a)).data, a.sum(), rtol=1e-14)
         np.testing.assert_allclose(
-            T.reduce(T.Tensor(a), axis=(0, 2), kind="mean", keepdims=True).data,
-            a.mean(axis=(0, 2), keepdims=True),
+            T.reduce(T.Tensor(a), axis=(0, 2), keepdims=True).data,
+            a.sum(axis=(0, 2), keepdims=True),
             rtol=1e-14,
         )
-        with pytest.raises(ValueError, match="unknown reduction"):
-            T.reduce(T.Tensor(a), kind="max")
         with pytest.raises(ValueError, match="out of bounds"):
             T.reduce(T.Tensor(a), axis=3)
         with pytest.raises(ValueError, match="duplicate"):
@@ -195,7 +193,7 @@ class TestFusedEpilogues:
             t.grad = None
         out = build()
         r = T.Tensor(rand(out.shape, 30).astype(dtype))
-        T.reduce(T.mul(out, r), kind="sum").backward()
+        T.reduce(T.mul(out, r)).backward()
         return [out.data] + [t.grad for t in leaves]
 
     @staticmethod
@@ -392,7 +390,7 @@ class TestBackward:
             and not name.startswith("_") and "_node(" in inspect.getsource(fn)
         ]
         assert {"add", "div", "sigmoid", "gather", "conv2d", "ce_dice_loss",
-                "modulate_and_fuse"} <= set(ops)
+                "fisher_loss", "modulate_and_fuse"} <= set(ops)
         rows = [r.name for r in op_checks(seed=0)]
         missing = [op for op in ops
                    if not any(row.startswith((f"op.{op}.", f"op.{op}_")) for row in rows)]
@@ -402,7 +400,7 @@ class TestBackward:
         a, b = leaf((3, 4), 1), leaf((4, 2), 2)
 
         def loss():
-            return T.reduce(T.mul(T.matmul(a, b), T.matmul(a, b)), kind="sum")
+            return T.reduce(T.mul(T.matmul(a, b), T.matmul(a, b)))
 
         loss().backward()
         for t in (a, b):
@@ -414,7 +412,7 @@ class TestBackward:
         w = T.Tensor(rand((3, 5), 4))
 
         def loss():
-            return T.reduce(T.mul(T.softmax_axis(x, axis=1), w), kind="sum")
+            return T.reduce(T.mul(T.softmax_axis(x, axis=1), w))
 
         loss().backward()
         num = numerical_grad(lambda: loss().item(), x)
@@ -422,14 +420,14 @@ class TestBackward:
 
     def test_broadcast_adjoint_shape_and_value(self):
         a, b = leaf((3, 4), 5), leaf((4,), 6)
-        T.reduce(T.mul(T.add(a, b), T.add(a, b)), kind="sum").backward()
+        T.reduce(T.mul(T.add(a, b), T.add(a, b))).backward()
         assert a.grad.shape == (3, 4) and b.grad.shape == (4,)
         np.testing.assert_allclose(b.grad, a.grad.sum(axis=0), atol=1e-12)
 
     def test_gather_accumulates_duplicate_indices(self):
         x = leaf((2, 4, 2), 7)
         idx = np.array([[1, 1, 3], [0, 2, 2]])
-        T.reduce(T.gather(x, idx, axis=1), kind="sum").backward()
+        T.reduce(T.gather(x, idx, axis=1)).backward()
         expected = np.zeros((2, 4, 2))
         for b in range(2):
             np.add.at(expected[b], idx[b], 1.0)
@@ -437,8 +435,8 @@ class TestBackward:
 
     def test_gradients_are_linear_in_the_loss(self):
         def build(t):
-            l1 = T.reduce(T.mul(t, t), kind="sum")
-            l2 = T.reduce(T.sigmoid(t), kind="sum")
+            l1 = T.reduce(T.mul(t, t))
+            l2 = T.reduce(T.sigmoid(t))
             return l1, l2
 
         x = leaf((3, 3), 8)
@@ -456,9 +454,9 @@ class TestBackward:
 
     def test_repeated_backward_accumulates(self):
         x = leaf((2,), 9)
-        T.reduce(x, kind="sum").backward()
+        T.reduce(x).backward()
         first = x.grad.copy()
-        T.reduce(x, kind="sum").backward()
+        T.reduce(x).backward()
         np.testing.assert_array_equal(x.grad, 2.0 * first)
 
     def test_backward_requires_scalar_root(self):
@@ -481,7 +479,7 @@ class TestBackward:
         w = T.Tensor(rand((4, x_shape[-1], k, k), 21))
         out = T.conv2d(x, w, T.Tensor(rand((4,), 22)), stride=stride, padding=padding)
         g = rand(out.shape, 23)
-        T.reduce(T.mul(out, T.Tensor(g)), kind="sum").backward()
+        T.reduce(T.mul(out, T.Tensor(g))).backward()
         np.testing.assert_array_equal(
             x.grad, padded_scatter_input_grad(g, w.data, x_shape, stride, padding)
         )
@@ -489,7 +487,7 @@ class TestBackward:
     def test_shared_subexpression_fans_in(self):
         x = leaf((3,), 11)
         y = T.sigmoid(x)
-        T.reduce(T.add(y, y), kind="sum").backward()
+        T.reduce(T.add(y, y)).backward()
         s = T.sigmoid(T.Tensor(x.data)).data
         np.testing.assert_allclose(x.grad, 2.0 * s * (1.0 - s), atol=1e-12)
 
@@ -529,7 +527,7 @@ class TestGraph:
 
     def test_ancestors_sorted_by_execution_sequence(self):
         a, b = leaf((2,), 14), leaf((2,), 15)
-        loss = T.reduce(T.add(T.mul(a, b), a), kind="sum")
+        loss = T.reduce(T.add(T.mul(a, b), a))
         nodes = T.ancestors_in_order(loss)
         seqs = [n._seq for n in nodes]
         assert seqs == sorted(seqs)
@@ -539,7 +537,7 @@ class TestGraph:
     def test_constant_branches_are_skipped(self):
         x = leaf((2,), 16)
         c = T.Tensor(np.ones(2))
-        T.reduce(T.mul(x, c), kind="sum").backward()
+        T.reduce(T.mul(x, c)).backward()
         assert c.grad is None
         np.testing.assert_array_equal(x.grad, np.ones(2))
 
@@ -564,7 +562,7 @@ class TestRelease:
     def test_second_backward_raises_and_leaves_grads_alone(self):
         a, b = leaf((3, 4), 24), leaf((4,), 25)
         s = T.add(a, b)
-        loss = T.reduce(T.mul(T.sigmoid(s), s), kind="sum")
+        loss = T.reduce(T.mul(T.sigmoid(s), s))
         value = loss.item()
         loss.backward()
         first = (a.grad.copy(), b.grad.copy())
