@@ -15,6 +15,12 @@ The heatmap is computed once per layer from the incoming features and
 embeddings, and both directions reuse it; the feature update reads the
 already-updated embeddings.  Top-K membership is fixed during backward while
 gradients still flow through the selected heat values and features.
+
+Three pieces of a layer are one graph node each, with a closed-form adjoint
+given in its docstring: the gated embedding update (``gated_update``), the
+modulation scale (``affine_params``) and the pixel mix with its softmax and
+blend (``modulate_and_fuse``).  They evaluate the numpy expressions of the
+ops they replace, so forward values equal the op chain's bit for bit.
 """
 from __future__ import annotations
 
@@ -24,18 +30,18 @@ import numpy as np
 
 from .tensor import (
     Tensor,
+    _fold,
     _node,
+    _sigmoid,
+    _softmax,
     _unbroadcast,
-    concat,
     gather,
     matmul,
     mul,
     reduce,
     reshape,
     sigmoid,
-    softmax_axis,
     swapaxes,
-    tanh,
     topk_indices,
 )
 
@@ -139,11 +145,34 @@ def pool_context(
 
 
 def gated_update(emb_prev: Tensor, contexts: Tensor, w_gate: Tensor, b_gate: Tensor):
-    """Convex per-category blend of old embedding and pooled context."""
-    stacked = concat([emb_prev, contexts], axis=-1)
-    gate = sigmoid(matmul(stacked, w_gate) + b_gate)
-    updated = (1.0 - gate) * emb_prev + gate * contexts
-    return updated, gate
+    """Convex per-category blend of old embedding and pooled context.
+
+    With gate = sigmoid([emb_prev, contexts] @ w_gate + b_gate), the update
+    (1 - gate) * emb_prev + gate * contexts is one graph node.  For an output
+    gradient g its adjoint is
+
+        dz = (sum_c g * contexts - sum_c g * emb_prev) * gate * (1 - gate),
+        d [emb_prev, contexts] = [g * (1 - gate), g * gate] + dz @ w_gate^T,
+        d w_gate = [emb_prev, contexts]^T @ dz,   d b_gate = sum dz.
+
+    The gate comes back as a Tensor outside the graph.
+    """
+    e, c, w = emb_prev.data, contexts.data, w_gate.data
+    stacked = np.concatenate([e, c], axis=-1)
+    gate = _sigmoid(_fold(stacked, w) + b_gate.data)
+    keep = 1.0 - gate
+
+    def _bw(g):
+        d_gate = (g * c).sum(axis=-1, keepdims=True) - (g * e).sum(axis=-1, keepdims=True)
+        dz = d_gate * gate * keep
+        dz2 = dz.reshape(-1, 1)
+        d_stacked = (dz2 @ w.T).reshape(stacked.shape)
+        width = e.shape[-1]
+        return (g * keep + d_stacked[..., :width], g * gate + d_stacked[..., width:],
+                stacked.reshape(-1, w.shape[0]).T @ dz2, _unbroadcast(dz, b_gate.shape))
+
+    updated = _node(keep * e + gate * c, (emb_prev, contexts, w_gate, b_gate), _bw)
+    return updated, Tensor(gate)
 
 
 # tanh saturates to exactly +-1 (float64 past |x| ~ 19), which would let the
@@ -161,8 +190,25 @@ def affine_params(
     w_shift: Tensor,
     b_shift: Tensor,
 ):
-    """Per-category modulation: scale strictly in (0, 2), unconstrained shift."""
-    gamma = 1.0 + (1.0 - _scale_guard(emb.dtype)) * tanh(matmul(emb, w_scale) + b_scale)
+    """Per-category modulation: scale strictly in (0, 2), unconstrained shift.
+
+    The scale 1 + shrink * tanh(emb @ w_scale + b_scale), shrink = 1 - guard,
+    is one graph node.  With t its tanh and dz = g * shrink * (1 - t^2) for an
+    output gradient g, the adjoint is
+
+        d emb = dz @ w_scale^T,   d w_scale = emb^T @ dz,   d b_scale = sum dz.
+    """
+    e, w = emb.data, w_scale.data
+    shrink = 1.0 - _scale_guard(e.dtype)
+    t = np.tanh(_fold(e, w) + b_scale.data)
+
+    def _bw(g):
+        dz = g * shrink * (1.0 - t * t)
+        dz2 = dz.reshape(-1, w.shape[1])
+        return ((dz2 @ w.T).reshape(e.shape), e.reshape(-1, w.shape[0]).T @ dz2,
+                _unbroadcast(dz, b_scale.shape))
+
+    gamma = _node(1.0 + shrink * t, (emb, w_scale, b_scale), _bw)
     beta = matmul(emb, w_shift) + b_shift
     return gamma, beta
 
@@ -182,33 +228,37 @@ def modulate_and_fuse(
     so alpha * feats[p] = feats[p] * sum_n soft[p, n] * alpha, and the whole
     output factors exactly into
 
-        feats * (soft @ (alpha + (1 - alpha) * gamma)) + soft @ ((1 - alpha) * beta).
+        feats * (soft @ scale) + soft @ shift,
+        scale = alpha + (1 - alpha) * gamma,   shift = (1 - alpha) * beta.
 
     The scalar blend thus acts on the small (..., N, c_feat) scale and shift,
-    and no (..., P, N, c_feat) intermediate is formed.  The pixel mix is one
-    graph node holding one (..., P, c_feat) value; for an output gradient g its
-    adjoint recomputes the N-term soft @ scale:
+    and no (..., P, N, c_feat) intermediate is formed.  The whole mix, softmax
+    and blend included, is one graph node holding one (..., P, c_feat) value;
+    for an output gradient g its adjoint recomputes the N-term soft @ scale:
 
         d feats = g * (soft @ scale),   d soft = g @ shift^T + (g * feats) @ scale^T,
         d scale = soft^T @ (g * feats), d shift = soft^T @ g,
-
-    each the numpy expression that mul, matmul and add evaluate, so value and
-    gradients equal those of the unfused chain bit for bit.
+        d gamma = (1 - alpha) * d scale,   d beta = (1 - alpha) * d shift,
+        d scores = (d soft - sum_n d soft * soft) * soft,
+        d blend = (sum d scale - sum d shift * beta - sum d scale * gamma) * alpha * (1 - alpha).
     """
-    soft = softmax_axis(scores, axis=-1)
-    alpha = sigmoid(blend)
+    f, gam, bet = feats.data, gamma.data, beta.data
+    s, alpha = _softmax(scores.data, -1), _sigmoid(blend.data)
     keep = 1.0 - alpha
-    scale = alpha + mul(keep, gamma)
-    shift = mul(keep, beta)
-    f, s, a, b = feats.data, soft.data, scale.data, shift.data
+    a, b = alpha + keep * gam, keep * bet
 
     def _bw(g):
         gf, s_t = g * f, np.swapaxes(s, -1, -2)
-        d_soft = g @ np.swapaxes(b, -1, -2) + gf @ np.swapaxes(a, -1, -2)
-        return (_unbroadcast(g * (s @ a), f.shape), _unbroadcast(d_soft, s.shape),
-                _unbroadcast(s_t @ gf, a.shape), _unbroadcast(s_t @ g, b.shape))
+        d_soft = _unbroadcast(g @ np.swapaxes(b, -1, -2) + gf @ np.swapaxes(a, -1, -2), s.shape)
+        d_scale, d_shift = _unbroadcast(s_t @ gf, a.shape), _unbroadcast(s_t @ g, b.shape)
+        d_keep = _unbroadcast(d_shift * bet, ()) + _unbroadcast(d_scale * gam, ())
+        d_alpha = _unbroadcast(d_scale, ()) - d_keep
+        return (_unbroadcast(g * (s @ a), f.shape),
+                _unbroadcast(d_scale * keep, gam.shape), _unbroadcast(d_shift * keep, bet.shape),
+                (d_soft - (d_soft * s).sum(axis=-1, keepdims=True)) * s,
+                d_alpha * alpha * (1.0 - alpha))
 
-    return _node(f * (s @ a) + s @ b, (feats, soft, scale, shift), _bw)
+    return _node(f * (s @ a) + s @ b, (feats, gamma, beta, scores, blend), _bw)
 
 
 def coupling_forward(feats: Tensor, emb: Tensor, params: CouplingParams, ratio: float, eps: float):

@@ -21,7 +21,9 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
-from .coupling import CouplingParams, coupling_forward, modulate_and_fuse
+from .coupling import (
+    CouplingParams, affine_params, coupling_forward, gated_update, modulate_and_fuse,
+)
 from .losses import ce_dice_loss, fisher_loss, label_counts, total_loss
 from .model import SegModel
 from .optim import zero_grad
@@ -209,6 +211,23 @@ def op_checks(seed: int = 0, eps: float = DEFAULT_EPS) -> List[CheckResult]:
     # 3 samples, 2 categories, 4 channels; weighted like the CE + dice row
     fe = _leaf(rng, (3, 2, 4))
     run("op.fisher_loss", lambda: fisher_loss([fe], 1e-6) * 8.0, [("emb", fe)])
+
+    # 2 images, 3 categories, 4 embedding and 5 feature channels; weighted like
+    # the CE + dice row
+    ge, gc = _leaf(rng, (2, 3, 4)), _leaf(rng, (2, 3, 4))
+    gw, gb = _leaf(rng, (8, 1)), _leaf(rng, (1,))
+    rge = rng.standard_normal((2, 3, 4)) * 8.0
+    run("op.gated_update", lambda: _project(gated_update(ge, gc, gw, gb)[0], rge),
+        [("emb_prev", ge), ("contexts", gc), ("w_gate", gw), ("b_gate", gb)])
+    ws, bs, wh, bh = _leaf(rng, (4, 5)), _leaf(rng, (5,)), _leaf(rng, (4, 5)), _leaf(rng, (5,))
+    rga, rbe = rng.standard_normal((2, 3, 5)) * 8.0, rng.standard_normal((2, 3, 5)) * 8.0
+
+    def affine():
+        gamma, beta = affine_params(ge, ws, bs, wh, bh)
+        return _project(gamma, rga) + _project(beta, rbe)
+
+    run("op.affine_params", affine, [("emb", ge), ("w_scale", ws), ("b_scale", bs),
+                                     ("w_shift", wh), ("b_shift", bh)])
 
     return results
 

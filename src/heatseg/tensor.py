@@ -175,10 +175,19 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 # activations
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
+def _sigmoid(d: np.ndarray) -> np.ndarray:
+    # exp of a non-positive argument only, so neither branch overflows
     t = np.exp(-np.abs(d))
-    out = np.where(d >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    return np.where(d >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
+def _softmax(d: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(d - d.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = _sigmoid(x.data)
 
     def _bw(g):
         return (g * out * (1.0 - out),)
@@ -275,9 +284,7 @@ def gather(x: Tensor, indices, axis: int) -> Tensor:
 
 
 def softmax_axis(x: Tensor, axis: int) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax(x.data, axis)
 
     def _bw(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
@@ -288,6 +295,12 @@ def softmax_axis(x: Tensor, axis: int) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # linear algebra and convolution
+
+
+def _fold(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """``ad @ bd`` for a 2-d ``bd`` as one GEMM over all of ad's leading axes;
+    for a 2-d ``ad`` it is ``ad @ bd`` itself."""
+    return (ad.reshape(-1, bd.shape[0]) @ bd).reshape(ad.shape[:-1] + bd.shape[1:])
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -301,10 +314,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     inner, cols = bd.shape[-2:]
     # a 2-d right operand folds the stacked left one into a single GEMM each way
     folded = bd.ndim == 2 and ad.ndim > 2
-    if folded:
-        out = (ad.reshape(-1, inner) @ bd).reshape(ad.shape[:-1] + (cols,))
-    else:
-        out = ad @ bd
+    out = _fold(ad, bd) if folded else ad @ bd
 
     def _bw(g):
         ga = gb = None

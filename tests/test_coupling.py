@@ -11,6 +11,7 @@ from heatseg import tensor as T
 from heatseg.config import parse_run_config
 from heatseg.coupling import (
     CouplingParams,
+    _scale_guard,
     affine_params,
     class_scores,
     coupling_forward,
@@ -198,20 +199,37 @@ class TestPieces:
             np.testing.assert_allclose(leaves[name].grad, grad, rtol=0, atol=1e-12, err_msg=name)
 
 
+# gradient tolerance against an op chain that sums the same terms in another
+# order, relative to the largest entry of the chain's gradient
+CHAIN_TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+
+def rel_err(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), np.finfo(np.float64).tiny))
+
+
+def value_and_grads(build, arrays, r, dtype):
+    """The output of ``build`` on fresh leaves cast to ``dtype``, then every
+    leaf's gradient of the output's projection onto ``r``."""
+    leaves = [Tensor(np.asarray(a).astype(dtype), requires_grad=True) for a in arrays]
+    out = build(*leaves)
+    T.reduce(T.mul(out, Tensor(r.astype(dtype)))).backward()
+    return [out.data] + [t.grad for t in leaves]
+
+
 class TestFusedMix:
-    """The pixel mix of modulate_and_fuse, one graph node, against the
-    mul/matmul/add chain it replaces: the same value and the same adjoints,
-    bit for bit, for batched (B, P, C) and unbatched (P, C) features."""
+    """modulate_and_fuse, one graph node over (feats, gamma, beta, scores,
+    blend), against the softmax/sigmoid/mul/matmul/add chain it replaces, for
+    batched (B, P, C) and unbatched (P, C) features."""
 
     @staticmethod
-    def mix(feats, soft, scale, shift):
-        return T.add(T.mul(feats, T.matmul(soft, scale)), T.matmul(soft, shift))
-
-    def chain(self, feats, gamma, beta, scores, blend):
+    def chain(feats, gamma, beta, scores, blend):
         soft = T.softmax_axis(scores, axis=-1)
         alpha = T.sigmoid(blend)
         keep = 1.0 - alpha
-        return self.mix(feats, soft, alpha + T.mul(keep, gamma), T.mul(keep, beta))
+        scale, shift = alpha + T.mul(keep, gamma), T.mul(keep, beta)
+        return T.add(T.mul(feats, T.matmul(soft, scale)), T.matmul(soft, shift))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("lead", [(2,), ()], ids=["batched", "unbatched"])
@@ -219,27 +237,106 @@ class TestFusedMix:
         p, n, c = 10, 3, 4
         arrays = [rand(lead + (p, c), 40), rand(lead + (n, c), 41, 0.1, 1.9),
                   rand(lead + (n, c), 42), rand(lead + (p, n), 43, -2, 2), np.asarray(0.4)]
-        r = rand(lead + (p, c), 44).astype(dtype)
-
-        def run(build):
-            leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
-            out = build(*leaves)
-            T.reduce(T.mul(out, Tensor(r))).backward()
-            return [out.data] + [t.grad for t in leaves]
-
-        fused = run(modulate_and_fuse)
-        for got, want in zip(fused, run(self.chain)):
+        r = rand(lead + (p, c), 44)
+        fused = value_and_grads(modulate_and_fuse, arrays, r, dtype)
+        chained = value_and_grads(self.chain, arrays, r, dtype)
+        # the value and the feats, gamma, beta and scores gradients bit for bit
+        for got, want in zip(fused[:5], chained[:5]):
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, want)
+        # the scalar blend gradient sums every (N, C) entry, in an order the
+        # chain need not share
+        assert fused[5].dtype == dtype and fused[5].shape == ()
+        assert rel_err(fused[5], chained[5]) <= CHAIN_TOL[dtype]
 
-        # the node's four adjoints, from its own parents (feats, soft, scale, shift)
-        out = modulate_and_fuse(*(Tensor(a.astype(dtype), requires_grad=True) for a in arrays))
-        parents = [Tensor(t.data, requires_grad=True) for t in out._parents]
-        ref = self.mix(*parents)
-        T.reduce(T.mul(ref, Tensor(r))).backward()
-        np.testing.assert_array_equal(out.data, ref.data)
-        for got, want in zip(out._backward_fn(r), parents):
-            np.testing.assert_array_equal(got, want.grad)
+
+class TestFusedGate:
+    """gated_update, one graph node over (emb_prev, contexts, w_gate, b_gate),
+    against the concat/matmul/add/sigmoid/sub/mul chain it replaces."""
+
+    @staticmethod
+    def chain(emb_prev, contexts, w_gate, b_gate):
+        gate = T.sigmoid(T.matmul(T.concat([emb_prev, contexts], axis=-1), w_gate) + b_gate)
+        return (1.0 - gate) * emb_prev + gate * contexts, gate
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead, b_gate", [
+        ((2,), None), ((1,), None), ((), None), ((2,), 40.0), ((2,), -40.0),
+    ], ids=["batched", "one-image", "unbatched", "gate-open", "gate-shut"])
+    def test_update_matches_chain(self, dtype, lead, b_gate):
+        n, c = 3, 4
+        bias = rand((1,), 53) if b_gate is None else np.array([b_gate])
+        arrays = [rand(lead + (n, c), 50), rand(lead + (n, c), 51), rand((2 * c, 1), 52), bias]
+        r = rand(lead + (n, c), 54)
+        fused = value_and_grads(lambda *a: gated_update(*a)[0], arrays, r, dtype)
+        chained = value_and_grads(lambda *a: self.chain(*a)[0], arrays, r, dtype)
+        assert fused[0].dtype == dtype
+        np.testing.assert_array_equal(fused[0], chained[0])
+        for i, (got, want) in enumerate(zip(fused[1:], chained[1:])):
+            assert got.dtype == dtype and got.shape == want.shape
+            assert rel_err(got, want) <= CHAIN_TOL[dtype], i
+        # the gate comes back as its value alone, outside the graph
+        leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+        _, gate = gated_update(*leaves)
+        assert gate._parents == () and not gate.requires_grad
+        np.testing.assert_array_equal(gate.data, self.chain(*leaves)[1].data)
+
+
+class TestFusedScale:
+    """affine_params' scale, one graph node over (emb, w_scale, b_scale),
+    against the matmul/add/tanh/mul/add chain it replaces: bit for bit."""
+
+    @staticmethod
+    def chain(emb, w_scale, b_scale):
+        shrink = 1.0 - _scale_guard(emb.dtype)
+        return 1.0 + shrink * T.tanh(T.matmul(emb, w_scale) + b_scale)
+
+    @staticmethod
+    def gamma(emb, w_scale, b_scale):
+        zeros = Tensor(np.zeros(w_scale.shape, dtype=emb.dtype))
+        return affine_params(emb, w_scale, b_scale, zeros, Tensor(zeros.data[0]))[0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead, spread", [((2,), 1.0), ((), 1.0), ((2,), 100.0)],
+                             ids=["batched", "unbatched", "saturated"])
+    def test_scale_matches_chain_bitwise(self, dtype, lead, spread):
+        n, c_class, c_feat = 3, 4, 5
+        arrays = [rand(lead + (n, c_class), 60, -spread, spread), rand((c_class, c_feat), 61),
+                  rand((c_feat,), 62)]
+        r = rand(lead + (n, c_feat), 63)
+        fused = value_and_grads(self.gamma, arrays, r, dtype)
+        chained = value_and_grads(self.chain, arrays, r, dtype)
+        for got, want in zip(fused, chained):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+        assert np.all((fused[0] > 0.0) & (fused[0] < 2.0))
+        if spread > 1.0:
+            pre = np.abs(arrays[0] @ arrays[1] + arrays[2])
+            assert pre.max() > 20.0 and (pre > 20.0).mean() > 0.5
+
+
+class TestLayerGraph:
+    def test_update_scale_and_mix_are_one_node_each(self):
+        p = make_params(5, 4, seed=9)
+        feats = Tensor(rand((2, 16, 5), 64), requires_grad=True)
+        emb = Tensor(rand((2, 3, 4), 65), requires_grad=True)
+        feats_out, emb_out, scores = coupling_forward(feats, emb, p, 0.2, 1e-6)
+        nodes = [t for t in T.ancestors_in_order(T.reduce(feats_out) + T.reduce(emb_out))
+                 if t._parents]
+
+        def consumers(leaf):
+            return [t for t in nodes if any(q is leaf for q in t._parents)]
+
+        (update,) = consumers(p.w_gate)
+        assert update is emb_out and consumers(p.b_gate) == [update]
+        assert update._parents[0] is emb and update._parents[2:] == (p.w_gate, p.b_gate)
+        (gamma,) = consumers(p.w_scale)
+        assert consumers(p.b_scale) == [gamma]
+        assert gamma._parents == (emb_out, p.w_scale, p.b_scale)
+        (mix,) = consumers(p.blend)
+        assert mix is feats_out
+        assert mix._parents[0] is feats and mix._parents[1] is gamma
+        assert mix._parents[3] is scores and mix._parents[4] is p.blend
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heatseg import model as model_module
-from heatseg.coupling import coupling_forward
+from heatseg.coupling import coupling_forward, region_size
 from heatseg.config import RunConfig
 from heatseg.losses import total_loss
 from heatseg.model import SegModel
@@ -220,3 +220,50 @@ class TestParameters:
                              out.embeddings_per_layer, RunConfig())
         held = [n for n in ancestors_in_order(loss) if n._parents and n.shape == (2, 16, 12)]
         assert len(held) == layers + 1
+
+
+class TestPrecision:
+    """Float32 model gradients against float64 on identical inputs.
+
+    Both models hold the same float32-representable parameters and images.
+    Each parameter group's error max|g32 - g64| is scaled by the larger of its
+    own largest float64 gradient and SHARE of the largest over all groups, so
+    groups whose exact gradient is (near) zero do not decide it: ``head.bias``
+    (exactly 0) and, at K = 1, each layer's ``b_query`` (eps-sized).  Measured
+    at seeds 0-5 of these shapes: at most 7.5e-5 (``head.bias``) and 2.5e-5
+    for every other group, so TOL leaves a margin of 4x.
+    """
+
+    SHARE = 1e-2
+    TOL = 3e-4
+
+    @staticmethod
+    def gradients(config, dtype, params, images, labels):
+        model = SegModel(config.model_config(), seed=0, dtype=dtype)
+        for (_, p), (_, src) in zip(model.named_parameters(), params):
+            p.data[...] = src.data
+        out = model.forward(Tensor(images.astype(dtype)))
+        loss, _ = total_loss(out.logits, labels, out.scores_per_layer,
+                             out.embeddings_per_layer, config)
+        loss.backward()
+        return {name: p.grad.astype(np.float64) for name, p in model.named_parameters()}
+
+    # the default topk_ratio picks K = 5 of 256 pixels at 64², and K = 1 at 16²
+    @pytest.mark.parametrize("size, ratio, k", [(64, 0.02, 5), (64, 0.001, 1), (16, 0.02, 1)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_float32_gradients_match_float64(self, size, ratio, k, seed):
+        # the tests' tiny config, with two coupling layers
+        config = RunConfig(num_categories=3, image_size=size, c_feat=8, c_class=4,
+                           decoder_layers=2, encoder_widths=(4, 6), topk_ratio=ratio)
+        assert region_size(ratio, (size // config.downsample_factor) ** 2) == k
+        params = SegModel(config.model_config(), seed=seed, dtype=np.float32).named_parameters()
+        rng = np.random.default_rng(seed + 11)
+        imgs = rng.uniform(0.0, 1.0, size=(2, 3, size, size)).astype(np.float32)
+        labels = rng.integers(0, 3, size=(2, size, size))
+        g32 = self.gradients(config, np.float32, params, imgs, labels)
+        g64 = self.gradients(config, np.float64, params, imgs, labels)
+        floor = self.SHARE * max(np.abs(g).max() for g in g64.values())
+        errors = {name: np.abs(g32[name] - g).max() / max(np.abs(g).max(), floor)
+                  for name, g in g64.items()}
+        worst = max(errors, key=errors.get)
+        assert errors[worst] <= self.TOL, (worst, errors[worst])

@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from heatseg import coupling, losses
+from heatseg import coupling, gradcheck, losses
 from heatseg import tensor as T
 from heatseg.config import RunConfig
 from heatseg.gradcheck import max_rel_err, numerical_grad, op_checks
@@ -390,11 +390,27 @@ class TestBackward:
             and not name.startswith("_") and "_node(" in inspect.getsource(fn)
         ]
         assert {"add", "div", "sigmoid", "gather", "conv2d", "ce_dice_loss",
-                "fisher_loss", "modulate_and_fuse"} <= set(ops)
+                "fisher_loss", "modulate_and_fuse", "gated_update", "affine_params"} <= set(ops)
         rows = [r.name for r in op_checks(seed=0)]
         missing = [op for op in ops
                    if not any(row.startswith((f"op.{op}.", f"op.{op}_")) for row in rows)]
         assert not missing, f"ops without a gradcheck row: {missing}"
+
+    @pytest.mark.parametrize("fn", ["gated_update", "affine_params", "modulate_and_fuse"])
+    def test_fused_adjoint_one_percent_off_fails_its_row(self, monkeypatch, fn):
+        # the ×8 projections lift these rows above max_rel_err's absolute floor
+        original = getattr(gradcheck, fn)
+
+        def wrong(*args):
+            out = original(*args)
+            node = out[0] if isinstance(out, tuple) else out
+            adjoint = node._backward_fn
+            node._backward_fn = lambda g: tuple(1.01 * pg for pg in adjoint(g))
+            return out
+
+        monkeypatch.setattr(gradcheck, fn, wrong)
+        failed = [r.name for r in op_checks(seed=0) if not r.ok]
+        assert failed and all(name.startswith(f"op.{fn}.") for name in failed), failed
 
     def test_matmul_gradient_tight_tolerance(self):
         a, b = leaf((3, 4), 1), leaf((4, 2), 2)
