@@ -39,7 +39,7 @@ from .data import (
     synth_generate,
     to_unit,
 )
-from .gradcheck import DEFAULT_EPS, format_report, run_all
+from .gradcheck import format_report, run_all
 from .losses import total_loss
 from .metrics import ConfusionMatrix, summarize
 from .model import SegModel
@@ -76,6 +76,14 @@ def cmd_synth(args) -> int:
     }
     print(json.dumps(summary))
     return 0
+
+
+def _stored_config(path, meta: dict) -> dict:
+    """The run config a checkpoint was written with, as its JSON object."""
+    stored = meta.get("config")
+    if not isinstance(stored, dict):
+        raise CheckpointError(f"{path}: checkpoint has no stored config")
+    return stored
 
 
 def _train_arrays(named, state: AdamState):
@@ -118,12 +126,9 @@ def cmd_train(args) -> int:
 
     if args.resume:
         arrays, meta = load_checkpoint(args.resume)
-        stored = meta.get("config")
-        if stored != cfg.to_dict():
-            diff = sorted(
-                k for k in set(stored or {}) | set(cfg.to_dict())
-                if (stored or {}).get(k) != cfg.to_dict().get(k)
-            )
+        stored, current = _stored_config(args.resume, meta), cfg.to_dict()
+        if stored != current:
+            diff = sorted(k for k in set(stored) | set(current) if stored.get(k) != current.get(k))
             return _fail(f"resume config mismatch on keys: {', '.join(diff)}")
         start_step = meta.get("step")
         if not is_json_int(start_step) or not 0 <= start_step <= cfg.total_steps:
@@ -212,10 +217,7 @@ def _model_from_checkpoint(ckpt_path):
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():
             raise NonFiniteCheckpoint(f"{ckpt_path}: array {name!r} holds non-finite values")
-    stored = meta.get("config")
-    if not isinstance(stored, dict):
-        raise CheckpointError(f"{ckpt_path}: checkpoint has no stored config")
-    cfg = parse_run_config(stored)
+    cfg = parse_run_config(_stored_config(ckpt_path, meta))
     model = SegModel(cfg.model_config(), seed=cfg.seed, dtype=cfg.dtype)
     model.load_arrays(arrays)
     return model, cfg
@@ -240,11 +242,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if not 0.0 < args.eps < math.inf:
-        return _fail(f"--eps must be a positive finite number, got {args.eps}")
-    if args.seed < 0:
-        return _fail(f"--seed must be >= 0, got {args.seed}")
-    results = run_all(seed=args.seed, eps=args.eps, corrupt=args.corrupt)
+    results = run_all(corrupt=args.corrupt)
     print(format_report(results))
     return 0 if all(r.ok for r in results) else 1
 
@@ -308,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="verify adjoints against finite differences")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument(
         "--corrupt",
         action="store_true",

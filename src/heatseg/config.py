@@ -39,12 +39,9 @@ class RunConfig:
     c_class: int = 64
     decoder_layers: int = 2
     encoder_widths: Tuple[int, ...] = (32, 64)
-    downsample_factor: int = 4
     topk_ratio: float = 0.02
-    topk_eps: float = 1e-6
     lambda_heatmap: float = 0.1
     lambda_fisher: float = 0.1
-    fisher_eps: float = 1e-6
     ignore_index: Optional[int] = None
     learning_rate: float = 0.8e-4
     total_steps: int = 300
@@ -119,9 +116,8 @@ def parse_run_config(raw: dict, base_dir: Optional[Path] = None) -> RunConfig:
         for key in ("seed", "lambda_heatmap", "lambda_fisher"):
             if merged[key] < 0:
                 errors.append(f"{key!r} must be >= 0, got {merged[key]}")
-        for key in ("fisher_eps", "learning_rate"):
-            if merged[key] <= 0:
-                errors.append(f"{key!r} must be positive, got {merged[key]}")
+        if merged["learning_rate"] <= 0:
+            errors.append(f"'learning_rate' must be positive, got {merged['learning_rate']}")
         # labels are bytes, so an index outside 0..255 would exclude nothing
         ignore = merged["ignore_index"]
         if ignore is not None and not 0 <= ignore <= 255:
@@ -136,14 +132,11 @@ def parse_run_config(raw: dict, base_dir: Optional[Path] = None) -> RunConfig:
 
     cfg = RunConfig(**merged)
     try:
-        cfg.model_config()
+        factor = cfg.model_config().downsample_factor
     except ValueError as e:
         raise ConfigError([str(e)]) from None
-    # the factor is a power of two >= 2 once the model config holds
-    if cfg.image_size % cfg.downsample_factor:
-        raise ConfigError([
-            f"image_size {cfg.image_size} not divisible by factor {cfg.downsample_factor}"
-        ])
+    if cfg.image_size % factor:
+        raise ConfigError([f"image_size {cfg.image_size} not divisible by factor {factor}"])
     return cfg
 
 

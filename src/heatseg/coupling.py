@@ -105,10 +105,10 @@ class CouplingParams:
         return [(f"{prefix}.{f.name}", getattr(self, f.name)) for f in fields(self)]
 
 
-def class_scores(feats: Tensor, emb: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """(..., P, N) scores of (..., P, c_feat) pixels against (..., N, c_class)
-    embeddings projected by ``w`` and ``b``; heatmaps are their sigmoid."""
-    queries = matmul(emb, w) + b
+def class_scores(feats: Tensor, queries: Tensor) -> Tensor:
+    """(..., P, N) scores of (..., P, c_feat) pixels against (..., N, c_feat)
+    queries, the category embeddings projected to feature space; heatmaps are
+    their sigmoid."""
     return matmul(feats, swapaxes(queries, -1, -2))
 
 
@@ -267,9 +267,9 @@ def coupling_forward(feats: Tensor, emb: Tensor, params: CouplingParams, ratio: 
     feats is (B, P, c_feat) and emb (B, N, c_class); the raw scores come back
     as (B, P, N), and their sigmoid is the layer's heat.  Each category channel
     pools its ``region_size(ratio, P)`` hottest pixels, normalized with
-    ``eps``: the ``topk_ratio`` and ``topk_eps`` keys.
+    ``eps``: the ``topk_ratio`` key and ``model.TOPK_EPS``.
     """
-    scores = class_scores(feats, emb, params.w_query, params.b_query)
+    scores = class_scores(feats, matmul(emb, params.w_query) + params.b_query)
     # one heat row per category channel, pixels last
     heat_rows = swapaxes(sigmoid(scores), -1, -2)
     region = topk_indices(heat_rows.data, region_size(ratio, heat_rows.shape[-1]))

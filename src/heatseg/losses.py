@@ -24,6 +24,9 @@ import numpy as np
 from .config import RunConfig
 from .tensor import Tensor, _node, add
 
+# guards each scatter ratio's denominator against coinciding category means
+FISHER_EPS = 1e-6
+
 
 def _check_labels(labels: np.ndarray, num_categories: int, ignore_index) -> np.ndarray:
     """Validate the label map and return the scored-pixel mask."""
@@ -174,16 +177,16 @@ def total_loss(
     """Combined objective and a float breakdown for logging.
 
     The run config supplies the loss keys: ``ignore_index`` marks unscored
-    pixels, ``lambda_heatmap`` and ``lambda_fisher`` weight the two auxiliary
-    terms, and ``fisher_eps`` guards the scatter ratio.  ``logits`` and every
-    layer's scores share the coupled grid, so the label counts are built once
-    and serve every CE + dice term.
+    pixels, and ``lambda_heatmap`` and ``lambda_fisher`` weight the two
+    auxiliary terms; the constant ``FISHER_EPS`` guards the scatter ratio.
+    ``logits`` and every layer's scores share the coupled grid, so the label
+    counts are built once and serve every CE + dice term.
     """
     counts = label_counts(labels, logits, cfg.ignore_index)
     main = ce_dice_loss(logits, counts)
     if scores_per_layer:
         heat = heatmap_loss(scores_per_layer, counts)
-        fisher = fisher_loss(embeddings_per_layer, cfg.fisher_eps)
+        fisher = fisher_loss(embeddings_per_layer, FISHER_EPS)
     else:
         # with no layers both terms are zero, in the logits' dtype: a float64
         # zero would promote the whole single-precision graph

@@ -1,13 +1,14 @@
 """Segmentation model: small conv encoder, coupling decode loop, linear head.
 
-The encoder is a fixed stack of 3x3 convolution + relu stages; the first
-log2(downsample_factor) stages use stride 2 and the final stage stride 1.  It
-runs channels-last: the (B, 3, H, W) images are turned into (B, H, W, 3) once,
+The encoder is a fixed stack of 3x3 convolution + relu stages: one stride-2
+stage per entry of ``encoder_widths``, so the downsample factor f is
+2 ** len(encoder_widths), then a final stride-1 stage.  It runs
+channels-last: the (B, 3, H, W) images are turned into (B, H, W, 3) once,
 and every activation after that is (B, h, w, C), so each convolution is one
 GEMM over all pixels of the batch and adds its bias inside ``conv2d``.  Each
 stage output is projected to c_feat by a 1x1 convolution as soon as it is
-computed, strided down to the aggregation scale H/factor x W/factor (the
-strided stages come first, so no stage is coarser), and summed into the
+computed, strided down to the aggregation scale H/f x W/f (the strided
+stages come first, so no stage is coarser), and summed into the
 (B, H', W', c_feat) base feature map.  ``conv2d`` applies the relu and adds
 the running sum in place, and each projection takes over the previous sum's
 node, so the graph is one ``conv2d`` node per stage and one for the sum.
@@ -15,14 +16,15 @@ node, so the graph is one ``conv2d`` node per stage and one for the sum.
 Decoding reshapes the base map to contiguous (B, P, c_feat) pixel features
 without a transpose, broadcasts a learnable, input-independent embedding table
 shared by all images to (B, N, c_class), and runs the coupling layer L times on
-the whole batch.  The head scores pixels against projected final embeddings
-on the coupled grid with the layers' own ``class_scores``; those logits, like
-every layer's scores, are the prediction at H/factor x W/factor.  ``predict``
-repeats their argmax over each factor x factor block.
+the whole batch.  The head scores pixels against the final embeddings
+projected by ``head.weight``, through the layers' own ``class_scores``.  It
+has no bias: a query bias b adds feats[p] . b to every category's score at
+pixel p alike, which the softmax cancels.  Those logits, like every layer's
+scores, are the prediction at H/f x W/f.  ``predict`` repeats their argmax
+over each f x f block.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -30,7 +32,10 @@ import numpy as np
 
 from .checkpoint import copy_named
 from .coupling import CouplingParams, class_scores, coupling_forward, uniform_init
-from .tensor import Tensor, conv2d, no_grad, reshape, swapaxes
+from .tensor import Tensor, conv2d, matmul, no_grad, reshape, swapaxes
+
+# guards each heatmap region's weight normalizer against an all-cold region
+TOPK_EPS = 1e-6
 
 
 @dataclass
@@ -42,9 +47,7 @@ class ModelConfig:
     c_class: int
     decoder_layers: int
     encoder_widths: Tuple[int, ...]
-    downsample_factor: int
     topk_ratio: float
-    topk_eps: float
 
     def __post_init__(self):
         self.encoder_widths = tuple(self.encoder_widths)
@@ -56,22 +59,17 @@ class ModelConfig:
             errors.append("c_feat and c_class must be >= 4")
         if self.decoder_layers < 0:
             errors.append(f"decoder_layers must be >= 0, got {self.decoder_layers}")
-        f = self.downsample_factor
-        if f < 2 or (f & (f - 1)) != 0:
-            errors.append(f"downsample_factor must be a power of two >= 2, got {f}")
-        else:
-            stride2 = int(math.log2(f))
-            if len(self.encoder_widths) != stride2:
-                errors.append(
-                    f"encoder_widths needs {stride2} entries for factor {f}, "
-                    f"got {len(self.encoder_widths)}"
-                )
+        if not self.encoder_widths:
+            errors.append("encoder_widths needs at least one stride-2 stage, got none")
         if not 0.0 < self.topk_ratio <= 1.0:
             errors.append(f"topk_ratio must be in (0, 1], got {self.topk_ratio}")
-        if self.topk_eps <= 0.0:
-            errors.append(f"topk_eps must be positive, got {self.topk_eps}")
         if errors:
             raise ValueError("; ".join(errors))
+
+    @property
+    def downsample_factor(self) -> int:
+        """Input extent over coupled-grid extent: one halving per stride-2 stage."""
+        return 2 ** len(self.encoder_widths)
 
     @property
     def stage_plan(self) -> List[Tuple[int, int]]:
@@ -119,7 +117,7 @@ class SegModel:
             for _ in range(config.decoder_layers)
         ]
 
-        self.head_w, self.head_b = uniform_init(
+        self.head_w, _ = uniform_init(
             rng, config.c_class, (config.c_class, config.c_feat), config.c_feat, dtype
         )
 
@@ -137,7 +135,6 @@ class SegModel:
         for i, layer in enumerate(self.layers):
             out.extend(layer.named(f"layers.{i}"))
         out.append(("head.weight", self.head_w))
-        out.append(("head.bias", self.head_b))
         return out
 
     def load_arrays(self, arrays: dict) -> None:
@@ -177,7 +174,7 @@ class SegModel:
         embeddings.
         """
         batch, hh, ww, c_feat = base.shape
-        ratio, eps = self.config.topk_ratio, self.config.topk_eps
+        ratio = self.config.topk_ratio
         feats = reshape(base, (batch, hh * ww, c_feat))
         # adding zeros broadcasts the shared table; the adjoint sums the batch back
         emb = self.embeddings + np.zeros((batch, 1, 1))
@@ -187,7 +184,7 @@ class SegModel:
         emb_layers: List[Tensor] = []
         for layer in self.layers:
             # scores come as (B, P, N)
-            feats, emb, scores = coupling_forward(feats, emb, layer, ratio, eps)
+            feats, emb, scores = coupling_forward(feats, emb, layer, ratio, TOPK_EPS)
             scores_layers.append(reshape(swapaxes(scores, 1, 2), maps))
             emb_layers.append(emb)
         return feats, emb, scores_layers, emb_layers
@@ -195,7 +192,7 @@ class SegModel:
     def output_head(self, feats: Tensor, emb: Tensor, hh: int, ww: int) -> Tensor:
         """(B, N, H', W') logits on the coupled grid from (B, P, c_feat) features."""
         # (B, P, N) scores keep the features' adjoint C-contiguous
-        z = swapaxes(class_scores(feats, emb, self.head_w, self.head_b), 1, 2)
+        z = swapaxes(class_scores(feats, matmul(emb, self.head_w)), 1, 2)
         return reshape(z, (z.shape[0], z.shape[1], hh, ww))
 
     def forward(self, images: Tensor) -> ModelOutput:

@@ -18,8 +18,7 @@ FLOAT_KEYS = [k for k, t in typing.get_type_hints(RunConfig).items() if t is flo
 STORED_CONFIG = {
     "seed": 1, "train_data": "/data/train", "num_categories": 3, "image_size": 16,
     "c_feat": 8, "c_class": 4, "decoder_layers": 1, "encoder_widths": [4, 6],
-    "downsample_factor": 4, "topk_ratio": 0.25, "topk_eps": 1e-06,
-    "lambda_heatmap": 0.1, "lambda_fisher": 0.0, "fisher_eps": 1e-06,
+    "topk_ratio": 0.25, "lambda_heatmap": 0.1, "lambda_fisher": 0.0,
     "ignore_index": 255, "learning_rate": 0.001, "total_steps": 4, "batch_size": 2,
     "precision": "single",
 }
@@ -100,14 +99,11 @@ class TestValidation:
         ("batch_size", 0),
         ("topk_ratio", 0.0),
         ("topk_ratio", 1.5),
-        ("topk_eps", 0.0),
         ("lambda_heatmap", -0.1),
         ("lambda_fisher", -0.1),
-        ("fisher_eps", 0.0),
         ("c_feat", 3),
         ("c_class", 3),
         ("decoder_layers", -1),
-        ("downsample_factor", 3),
     ])
     def test_range_rule_names_its_key(self, key, value):
         # total_steps, learning_rate, num_categories, the factor divisibility
@@ -132,10 +128,12 @@ class TestValidation:
                 parse_run_config({"ignore_index": n})
 
     def test_model_level_problems_surface_as_config_errors(self):
-        with pytest.raises(ConfigError, match="not divisible"):
+        with pytest.raises(ConfigError, match="image_size 30 not divisible by factor 4"):
             parse_run_config({"image_size": 30})
-        with pytest.raises(ConfigError, match="encoder_widths"):
-            parse_run_config({"encoder_widths": [8]})
+        # the factor follows from the widths, one halving per stride-2 stage
+        assert parse_run_config({"image_size": 30, "encoder_widths": [8]}).image_size == 30
+        with pytest.raises(ConfigError, match="encoder_widths needs at least one"):
+            parse_run_config({"encoder_widths": []})
 
 
 class TestFiles:
@@ -175,11 +173,20 @@ class TestFiles:
         again = parse_run_config(json.loads(json.dumps(STORED_CONFIG))).to_dict()
         assert json.dumps(again) == json.dumps(STORED_CONFIG)
 
+    def test_config_with_the_retired_keys_is_rejected_by_name(self):
+        # a checkpoint written while the downsample factor and both eps guards
+        # were keys stores them; such a config is refused, never half-read
+        old = dict(STORED_CONFIG, downsample_factor=4, topk_eps=1e-06, fisher_eps=1e-06)
+        with pytest.raises(ConfigError) as exc:
+            parse_run_config(old)
+        assert exc.value.errors == [
+            "unknown config keys: 'downsample_factor', 'fisher_eps', 'topk_eps'"
+        ]
+
 
 class TestSchema:
     def test_float_keys_are_read_from_the_schema(self):
-        assert FLOAT_KEYS == ["topk_ratio", "topk_eps", "lambda_heatmap", "lambda_fisher",
-                              "fisher_eps", "learning_rate"]
+        assert FLOAT_KEYS == ["topk_ratio", "lambda_heatmap", "lambda_fisher", "learning_rate"]
 
     # each id names a table of run settings: ModelConfig copies its fields
     # from RunConfig; the loss weights have no table and are read from

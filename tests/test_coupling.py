@@ -70,7 +70,7 @@ class TestHeatmaps:
         emb = Tensor(np.array([[2.0]]))
         w_query = Tensor(np.array([[0.5, 0.5]]))
         b_query = Tensor(np.zeros(2))
-        scores = class_scores(feats, emb, w_query, b_query)
+        scores = class_scores(feats, T.matmul(emb, w_query) + b_query)
         heat = T.sigmoid(scores)
         np.testing.assert_allclose(scores.data, [[2.0]], atol=1e-15)
         np.testing.assert_allclose(heat.data, [[1.0 / (1.0 + np.exp(-2.0))]], atol=1e-15)
@@ -78,7 +78,7 @@ class TestHeatmaps:
     def test_shapes_are_pixels_by_categories(self):
         feats = Tensor(rand((12, 5), 1))
         emb = Tensor(rand((3, 4), 2))
-        scores = class_scores(feats, emb, Tensor(rand((4, 5), 3)), Tensor(rand(5, 4)))
+        scores = class_scores(feats, T.matmul(emb, Tensor(rand((4, 5), 3))) + Tensor(rand(5, 4)))
         heat = T.sigmoid(scores)
         assert scores.shape == (12, 3) and heat.shape == (12, 3)
         assert np.all((heat.data > 0) & (heat.data < 1))

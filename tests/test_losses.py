@@ -429,5 +429,3 @@ class TestTotalLoss:
         # total_loss reads its keys as given; parsing the config rejects bad ones
         with pytest.raises(ConfigError, match="'lambda_fisher' must be >= 0"):
             parse_run_config({"lambda_fisher": -0.1})
-        with pytest.raises(ConfigError, match="'fisher_eps' must be positive"):
-            parse_run_config({"fisher_eps": 0.0})

@@ -1,9 +1,12 @@
 """Rules checked over the source tree itself rather than over its behaviour."""
 import ast
+import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import heatseg
+from heatseg.config import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "heatseg"
@@ -50,3 +53,14 @@ def test_no_public_definition_is_used_only_by_tests():
     ]
     # a helper that only tests call is deleted, not kept for them
     assert unused == []
+
+
+def test_readme_config_table_matches_the_schema():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    keys = [key.strip().strip("`") for key, _ in rows]
+    # one row per key, in schema order, each with the schema's default
+    assert keys == [f.name for f in fields(RunConfig)]
+    defaults = RunConfig().to_dict()
+    assert {k: json.loads(d) for k, (_, d) in zip(keys, rows)} == defaults
