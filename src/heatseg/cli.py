@@ -236,7 +236,7 @@ def cmd_eval(args) -> int:
     for batch in batches(entries, cfg.batch_size, seed=0, shuffle=False):
         images, labels = stack_batch([load_sample(e) for e in batch], dtype=cfg.dtype)
         preds = model.predict(images)
-        cm.accumulate(preds, labels.astype(np.int64), ignore_index=ignore)
+        cm.accumulate(preds, labels, ignore_index=ignore)
     print(json.dumps(summarize(cm)))
     return 0
 

@@ -42,7 +42,8 @@ class ConfusionMatrix:
             raise ValueError(f"prediction value outside [0, {n})")
         if label.min() < 0 or label.max() >= n:
             raise ValueError(f"label value outside [0, {n})")
-        flat = label.astype(np.int64) * n + pred.astype(np.int64)
+        # widened once, after ignore_index; int64 inputs are not copied
+        flat = label.astype(np.int64, copy=False) * n + pred.astype(np.int64, copy=False)
         self.counts += np.bincount(flat, minlength=n * n).reshape(n, n)
         return self
 

@@ -9,8 +9,9 @@ adjoints through per-operation closures.  Gradients accumulate on leaves
 the accumulator is cleared.
 
 Each graph back-propagates once.  As soon as a node's adjoint has run, its
-closure is dropped, so the arrays only the closure saved (im2col columns) are
-freed while the pass runs; node values and parent links stay.
+closure is dropped, so the arrays only the closure saved (kernel matrices,
+indices, intermediates the adjoint reuses) are freed while the pass runs; node
+values and parent links stay.  No closure saves im2col columns.
 A second backward from the same loss raises ``ValueError`` at its root, before
 any leaf gradient changes.
 
@@ -341,7 +342,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
 
     The input is unrolled into (B*oh*ow, kh*kw*C) columns, so the forward and
     the weight gradient are one GEMM each over every output pixel of the batch.
-    A 1x1 unpadded kernel reads its (strided) input itself as the columns.
+    A 1x1 unpadded kernel reads its (strided) input itself as the columns.  The
+    graph keeps no columns: the adjoint rebuilds them from the input's current
+    values, as ``mul`` and ``matmul`` read their operands', and drops them
+    after its GEMM.
 
     ``relu=True`` clamps the output in place and masks the adjoint with
     ``out > 0`` (0 at the kink); ``acc`` adds an output-shaped tensor in place
@@ -379,17 +383,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
         raise ValueError(
             f"conv2d acc must be {(batch, oh, ow, cout)} without relu, got {acc.shape}")
 
-    pointwise = kh == kw == 1 and p == 0
-    # columns run over (u, v, c), the kernel's rows likewise
+    # the kernel's rows run over (u, v, c), as the columns do
     wmat = wd.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
-    if pointwise:
-        cols = xd[:, ::s, ::s].reshape(-1, cin)
-    else:
-        xp = np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0)))
-        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::s, ::s]
-        cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * cin)
-        del xp, win  # dead once copied into the columns; freed before the GEMM
-    out = cols @ wmat
+    out = _im2col(xd, kh, kw, s, p) @ wmat
     out += bd
     # parents past (x, w, b) and their adjoint from the output gradient
     tail, tail_bw = (), lambda g: ()
@@ -409,11 +405,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
             g2 = g2 * (relu_out > 0)
         gx = gw = gb = None
         if w.requires_grad:
-            gw = (cols.T @ g2).reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1)
+            gw = (_im2col(xd, kh, kw, s, p).T @ g2).reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1)
         if b.requires_grad:
             gb = g2.sum(axis=0)
         if x.requires_grad:
-            if pointwise and s == 1:
+            if kh == kw == 1 and p == 0 and s == 1:
                 gx = (g2 @ wmat.T).reshape(xd.shape)
             else:
                 gx = np.zeros_like(xd)
@@ -425,6 +421,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
         return (gx, gw, gb, *tail_bw(g))
 
     return _node(out.reshape(batch, oh, ow, cout), (x, w, b, *tail), _bw)
+
+
+def _im2col(xd: np.ndarray, kh: int, kw: int, s: int, p: int) -> np.ndarray:
+    """(B*oh*ow, kh*kw*C) columns of a channels-last input, running over
+    (u, v, c); a 1x1 unpadded kernel reads its (strided) input itself, which
+    at stride 1 is a free reshape."""
+    if kh == kw == 1 and p == 0:
+        return xd[:, ::s, ::s].reshape(-1, xd.shape[3])
+    xp = np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0)))
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::s, ::s]
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * xd.shape[3])
 
 
 def _tap_spans(k_n: int, n: int, out_n: int, s: int, p: int) -> list:
@@ -502,7 +509,7 @@ def backward(loss: Tensor) -> None:
                 continue
             prev = grads.get(id(parent))
             grads[id(parent)] = pg if prev is None else prev + pg
-        # frees what only the closure held (im2col columns) while the pass runs
+        # frees what only the closure held while the pass runs
         t._backward_fn = _released
 
 

@@ -37,6 +37,20 @@ class TestCounting:
         cm = ConfusionMatrix(3).accumulate(pred, label, ignore_index=9)
         np.testing.assert_array_equal(cm.counts, counting_oracle(pred, label, 3, ignore=9))
 
+    @pytest.mark.parametrize("ignore", [None, 255])
+    def test_byte_labels_match_oracle_and_stay_untouched(self, ignore):
+        # eval passes its uint8 masks and int64 argmax maps as they are
+        rng = np.random.default_rng(3)
+        pred = rng.integers(0, 4, size=(2, 16, 16))
+        label = rng.integers(0, 4, size=(2, 16, 16)).astype(np.uint8)
+        label[:, 0] = 255 if ignore is not None else 3
+        before = pred.copy(), label.copy()
+        cm = ConfusionMatrix(4).accumulate(pred, label, ignore_index=ignore)
+        want = counting_oracle(pred, label.astype(np.int64), 4, ignore=ignore)
+        np.testing.assert_array_equal(cm.counts, want)
+        np.testing.assert_array_equal(pred, before[0])
+        np.testing.assert_array_equal(label, before[1])
+
     def test_merge_equals_joint_accumulation(self):
         rng = np.random.default_rng(2)
         pairs = [(rng.integers(0, 4, size=(8, 8)), rng.integers(0, 4, size=(8, 8)))

@@ -169,7 +169,8 @@ class TestForward:
         out = T.conv2d(x, leaf((4, 3, 3, 3), 16), leaf((4,), 17), stride=1, padding=1)
         held = [c.cell_contents for c in out._backward_fn.__closure__]
         arrays = [a for a in held if isinstance(a, np.ndarray)]
-        assert arrays, "the closure should hold the columns"
+        # no B*oh*ow*kh*kw*C columns either: the adjoint rebuilds them
+        assert all(a.size != 2 * 6 * 6 * 3 * 3 * 3 for a in arrays)
         assert all(a.shape != (2, 8, 8, 3) for a in arrays)
 
 
@@ -285,6 +286,47 @@ class TestFusedEpilogues:
                if n._backward_fn is not None]
         # each stage's relu conv2d, then one node for all the projections' sum
         assert ops == ["conv2d.<locals>._bw"] * (len(cfg.model_config().stage_plan) + 1)
+
+
+def im2col_reference(x, k, stride, padding):
+    """(B*oh*ow, k*k*C) columns of a channels-last input, one strided slice
+    of the padded input per kernel tap, running over (u, v, c)."""
+    batch, height, width, cin = x.shape
+    oh = (height + 2 * padding - k) // stride + 1
+    ow = (width + 2 * padding - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    taps = [xp[:, u : u + stride * (oh - 1) + 1 : stride, v : v + stride * (ow - 1) + 1 : stride]
+            for u in range(k) for v in range(k)]
+    return np.stack(taps, axis=3).reshape(batch * oh * ow, k * k * cin)
+
+
+class TestRebuiltColumns:
+    """conv2d's adjoint rebuilds the forward's im2col columns instead of
+    keeping them; the weight gradient is still the GEMM of those bytes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, stride, padding", ENCODER_KERNELS)
+    @pytest.mark.parametrize("epilogue", [None, "relu", "acc"])
+    def test_weight_gradient_is_the_gemm_of_the_columns_bitwise(self, dtype, k, stride,
+                                                                padding, epilogue):
+        x, w, b = TestFusedEpilogues.conv_leaves(dtype, k)
+        oh = (8 + 2 * padding - k) // stride + 1
+        extra = {}
+        if epilogue == "relu":
+            extra["relu"] = True
+        elif epilogue == "acc":
+            extra["acc"] = T.Tensor(rand((2, oh, oh, 5), 34).astype(dtype), requires_grad=True)
+        out = T.conv2d(x, w, b, stride, padding, **extra)
+        g = rand(out.shape, 35).astype(dtype)
+        gw = out._backward_fn(g)[1]
+
+        g2 = g.reshape(-1, 5)
+        if epilogue == "relu":
+            g2 = g2 * (out.data.reshape(-1, 5) > 0)
+        cols = im2col_reference(x.data, k, stride, padding)
+        want = (cols.T @ g2).reshape(k, k, 6, 5).transpose(3, 2, 0, 1)
+        assert gw.dtype == dtype and gw.shape == w.shape
+        assert gw.tobytes() == want.tobytes()
 
 
 def reachable_arrays(root):
@@ -590,17 +632,56 @@ class TestRelease:
         assert loss.item() == value and loss._parents[0]._parents[1] is s
 
     def test_train_step_backward_frees_every_closure_array(self):
-        cfg = RunConfig(num_categories=3, c_feat=12, c_class=6, encoder_widths=(6, 8))
-        model = SegModel(cfg.model_config(), seed=0)
-        out = model.forward(T.Tensor(rand((2, 3, 16, 16), 26, 0.0, 1.0)))
-        labels = np.random.default_rng(27).integers(0, 3, size=(2, 16, 16))
-        loss, _ = losses.total_loss(
-            out.logits, labels, out.scores_per_layer, out.embeddings_per_layer, cfg
-        )
+        model, loss = small_train_graph()
         nodes = T.ancestors_in_order(loss)
-        # conv2d columns live only in their closures; the fused relu reads
-        # its mask from the node's own output
+        # kernel matrices, gather indices and the like live only in their
+        # closures; the fused relu reads its mask from the node's own output
         assert sum(1 for n in nodes if held_arrays(n)) > 10
         loss.backward()
         assert [n for n in nodes if held_arrays(n)] == []
         assert all(p.grad is not None for _, p in model.named_parameters())
+
+    def test_train_step_conv2d_closures_hold_no_columns(self):
+        _, loss = small_train_graph()
+        nodes = T.ancestors_in_order(loss)
+        values = [n.data for n in nodes]
+        adjoints = conv2d_adjoint_cells(nodes)
+        # three stages and three projections, two of them handed on as acc
+        assert len(adjoints) == 6
+        for free in adjoints:
+            out_size = free["batch"] * free["oh"] * free["ow"] * free["cout"]
+            bound = max(out_size, free["w"].data.size)
+            # arrays that are no node's value are what the closure alone keeps
+            own = [a for a in free.values() if isinstance(a, np.ndarray)
+                   and not any(np.shares_memory(a, v) for v in values)]
+            assert all(a.size <= bound for a in own), [a.shape for a in own]
+
+
+def small_train_graph():
+    """The tests' small model (16x16, B = 2, L = 2) and its un-run training loss."""
+    cfg = RunConfig(num_categories=3, c_feat=12, c_class=6, encoder_widths=(6, 8))
+    model = SegModel(cfg.model_config(), seed=0)
+    out = model.forward(T.Tensor(rand((2, 3, 16, 16), 26, 0.0, 1.0)))
+    labels = np.random.default_rng(27).integers(0, 3, size=(2, 16, 16))
+    loss, _ = losses.total_loss(
+        out.logits, labels, out.scores_per_layer, out.embeddings_per_layer, cfg
+    )
+    return model, loss
+
+
+CONV2D_BW = "conv2d.<locals>._bw"
+
+
+def conv2d_adjoint_cells(nodes):
+    """The free variables, by name, of every conv2d adjoint of the graph,
+    with those a recorded acc handed on."""
+    stack = [n._backward_fn for n in nodes
+             if getattr(n._backward_fn, "__qualname__", None) == CONV2D_BW]
+    found = []
+    while stack:
+        fn = stack.pop()
+        free = dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
+        found.append(free)
+        if getattr(free["tail_bw"], "__qualname__", None) == CONV2D_BW:
+            stack.append(free["tail_bw"])
+    return found
